@@ -207,35 +207,11 @@ class Json
     std::string body;
 };
 
-/**
- * Shared execution-engine escape hatches for the bench/soak
- * harnesses: `--no-superblock` disables the superblock tier while
- * keeping the rest of the fast path (DESIGN.md §10), `--reference`
- * turns every fast-path flag off. Apply to the WispConfig a harness
- * is about to construct its target with.
- */
-inline target::WispConfig
-applyEngineFlags(const Cli &cli, target::WispConfig config = {})
-{
-    if (cli.has("no-superblock"))
-        config.mcu.superblocks = false;
-    if (cli.has("reference")) {
-        config.mcu.predecodeCache = false;
-        config.mcu.flatDispatch = false;
-        config.mcu.batchedDrain = false;
-        config.mcu.batchedSlices = false;
-        config.mcu.superblocks = false;
-        config.power.fastIntegration = false;
-    }
-    return config;
-}
-
 /// @name Uniform run-shape options
 /// Every soak/fuzz harness accepts `--threads N` (worker threads; 0
 /// = inline) and `--tags N` (world count, where the harness
 /// simulates more than one), and echoes both in its JSON summary
-/// next to the engine flags so a recorded run is reproducible from
-/// the summary line alone.
+/// so a recorded run is reproducible from the summary line alone.
 /// @{
 inline unsigned
 threadsOption(const Cli &cli)
@@ -251,16 +227,13 @@ tagsOption(const Cli &cli, unsigned fallback = 1)
     return t < 1 ? 1u : static_cast<unsigned>(t);
 }
 
-/** Standard run-shape + engine-flag fields for a JSON summary. */
+/** Standard run-shape fields for a JSON summary. */
 inline Json &
 runConfigFields(Json &j, const Cli &cli, unsigned default_tags = 1)
 {
     j.field("threads", static_cast<std::uint64_t>(threadsOption(cli)))
         .field("tags",
-               static_cast<std::uint64_t>(tagsOption(cli, default_tags)))
-        .field("superblocks",
-               !cli.has("no-superblock") && !cli.has("reference"))
-        .field("reference", cli.has("reference"));
+               static_cast<std::uint64_t>(tagsOption(cli, default_tags)));
     return j;
 }
 /// @}
@@ -320,61 +293,6 @@ class Distribution
   private:
     std::vector<double> samples;
 };
-
-/** Sum superblock counters across worlds (soaks run one Mcu per
- *  episode/plan but report one aggregate; fleets report per-world
- *  `Distribution`s instead — see fleet_soak). */
-inline void
-accumulate(mcu::Mcu::SuperblockStats &into,
-           const mcu::Mcu::SuperblockStats &s)
-{
-    into.blocksBuilt += s.blocksBuilt;
-    into.rebuilds += s.rebuilds;
-    into.execs += s.execs;
-    into.blockInstrs += s.blockInstrs;
-    into.bailouts += s.bailouts;
-    into.fallbacks += s.fallbacks;
-    for (std::size_t i = 0; i < into.lengthCounts.size(); ++i)
-        into.lengthCounts[i] += s.lengthCounts[i];
-}
-
-/**
- * Superblock engine summary for JSON output: raw counters, the hit
- * rate (fraction of all retired instructions that retired inside a
- * block) and a block-length histogram with its exact mean.
- */
-inline Json
-superblockJson(const mcu::Mcu::SuperblockStats &sb,
-               std::uint64_t total_instrs)
-{
-    trace::Histogram lens(
-        1.0, static_cast<double>(mcu::Mcu::superblockLenCap + 1), 8);
-    for (std::size_t len = 1; len < sb.lengthCounts.size(); ++len)
-        lens.add(static_cast<double>(len), sb.lengthCounts[len]);
-    Json hist;
-    const std::size_t width = (mcu::Mcu::superblockLenCap + 7) / 8;
-    for (std::size_t b = 0; b < lens.bins(); ++b) {
-        const std::size_t blo = 1 + b * width;
-        const std::size_t bhi = blo + width - 1;
-        hist.field("len_" + std::to_string(blo) + "_" +
-                       std::to_string(bhi),
-                   static_cast<std::uint64_t>(lens.binCount(b)));
-    }
-    Json j;
-    j.field("built", sb.blocksBuilt)
-        .field("rebuilds", sb.rebuilds)
-        .field("execs", sb.execs)
-        .field("block_instrs", sb.blockInstrs)
-        .field("bailouts", sb.bailouts)
-        .field("fallbacks", sb.fallbacks)
-        .field("hit_rate",
-               total_instrs ? static_cast<double>(sb.blockInstrs) /
-                                  static_cast<double>(total_instrs)
-                            : 0.0)
-        .field("mean_len", lens.mean())
-        .object("length_hist", hist);
-    return j;
-}
 
 /** Section banner. */
 inline void

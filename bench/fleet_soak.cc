@@ -9,20 +9,16 @@
  *    on `--threads` workers, with a determinism cross-check — the
  *    same fleet re-run at 1, 2 and 8 shards must produce
  *    bit-identical per-world digests (skip with `--no-check`);
- *  - `--sweep`: tag-count scaling sweep (10 → 5000) at `--threads`
- *    plus a single-thread baseline at the largest sweep point, so
- *    the JSON records the aggregate speedup CI gates on;
  *  - `--audit-sweep N`: N firmware variants (quickstart-derived,
  *    clean generated, and seeded-WAR mutants) under the NV auditor.
  *    Clean worlds must audit clean (zero false positives); mutants
  *    that demonstrably lost power after the gadget must be flagged.
  *
- * Exit code is the gate: determinism mismatch, an audit false
- * positive / missed mutant, or a sub-threshold sweep speedup all
- * fail the soak.
+ * Exit code is the gate: a determinism mismatch or an audit false
+ * positive / missed mutant fails the soak. Fleet throughput is
+ * measured by perfbench's `fleet` workload, not here.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -53,7 +49,6 @@ struct RunResult
     std::uint64_t migrations = 0;
     std::uint64_t stolen = 0;
     fleet::ChannelStats chan;
-    std::vector<fleet::WorldDigest> digests;
 };
 
 fleet::FleetConfig
@@ -65,7 +60,6 @@ baseConfig(const bench::Cli &cli, unsigned tags, unsigned threads)
     cfg.seed = static_cast<std::uint64_t>(cli.intOption("seed", 42));
     cfg.epochLength =
         cli.intOption("epoch-us", 5000) * sim::oneUs;
-    cfg.wisp = bench::applyEngineFlags(cli);
     // Soak defaults: tags start charged (and boot immediately) with
     // a dev-board-sized cap, so throughput is visible from epoch one.
     cfg.wisp.power.initialVolts =
@@ -87,18 +81,7 @@ collect(fleet::Fleet &fleet, double wall_sec)
     r.migrations = fleet.migrations();
     r.stolen = fleet.pool().executedStolen();
     r.chan = fleet.channelStats();
-    r.digests = fleet.digests();
     return r;
-}
-
-RunResult
-runFleet(const fleet::FleetConfig &cfg, unsigned epochs,
-         fleet::FirmwareFn firmware = {})
-{
-    fleet::Fleet fleet(cfg, std::move(firmware));
-    const double t0 = nowSec();
-    fleet.runEpochs(epochs);
-    return collect(fleet, nowSec() - t0);
 }
 
 /** Per-world distributions — each world's own counters, never a
@@ -106,24 +89,18 @@ runFleet(const fleet::FleetConfig &cfg, unsigned epochs,
 bench::Json
 perWorldJson(fleet::Fleet &fleet)
 {
-    bench::Distribution instrs, reboots, sbHit, wear, torn;
+    bench::Distribution instrs, reboots, wear, torn;
     for (std::size_t i = 0; i < fleet.size(); ++i) {
         fleet::World &w = fleet.world(i);
         const mcu::Mcu &m = w.wisp().mcu();
         instrs.add(static_cast<double>(m.instrCount()));
         reboots.add(static_cast<double>(m.rebootCount()));
-        const mcu::Mcu::SuperblockStats &sb = m.superblockStats();
-        sbHit.add(m.instrCount()
-                      ? static_cast<double>(sb.blockInstrs) /
-                            static_cast<double>(m.instrCount())
-                      : 0.0);
         wear.add(static_cast<double>(w.wisp().framRegion().totalWear()));
         torn.add(static_cast<double>(w.wisp().framRegion().tornWrites()));
     }
     bench::Json j;
     j.object("instrs", instrs.json())
         .object("reboots", reboots.json())
-        .object("sb_hit_rate", sbHit.json())
         .object("nv_wear", wear.json())
         .object("nv_torn", torn.json());
     return j;
@@ -161,8 +138,9 @@ determinismCheck(const bench::Cli &cli, unsigned tags,
     const unsigned shardCases[] = {0, 2, 8};
     std::vector<std::vector<fleet::WorldDigest>> all;
     for (unsigned threads : shardCases) {
-        RunResult r = runFleet(baseConfig(cli, tags, threads), epochs);
-        all.push_back(std::move(r.digests));
+        fleet::Fleet fleet(baseConfig(cli, tags, threads));
+        fleet.runEpochs(epochs);
+        all.push_back(fleet.digests());
     }
     bool ok = true;
     std::uint64_t mismatches = 0;
@@ -180,62 +158,6 @@ determinismCheck(const bench::Cli &cli, unsigned tags,
     out.field("worlds", static_cast<std::uint64_t>(all[0].size()))
         .field("shard_cases", 3)
         .field("mismatches", mismatches)
-        .field("ok", ok);
-    return ok;
-}
-
-/** Tag-count scaling sweep + single-thread baseline speedup. */
-bool
-scalingSweep(const bench::Cli &cli, unsigned threads,
-             unsigned epochs, bench::Json &out)
-{
-    const unsigned points[] = {10, 50, 200, 1000, 5000};
-    const unsigned speedupTags = static_cast<unsigned>(
-        cli.intOption("speedup-tags", 1000));
-    bench::Json rows;
-    double rateAtSpeedupTags = 0.0;
-    for (unsigned tags : points) {
-        bench::note("sweep: " + std::to_string(tags) + " tags, " +
-                    std::to_string(threads) + " threads");
-        RunResult r = runFleet(baseConfig(cli, tags, threads), epochs);
-        if (tags == speedupTags && r.wallSec > 0.0)
-            rateAtSpeedupTags =
-                static_cast<double>(r.instrs) / r.wallSec;
-        rows.object("tags_" + std::to_string(tags),
-                    runJson(r, tags, threads));
-    }
-    bench::note("sweep baseline: " + std::to_string(speedupTags) +
-                " tags, single-thread");
-    RunResult base =
-        runFleet(baseConfig(cli, speedupTags, 0), epochs);
-    const double baseRate =
-        base.wallSec > 0.0
-            ? static_cast<double>(base.instrs) / base.wallSec
-            : 0.0;
-    const double speedup =
-        baseRate > 0.0 ? rateAtSpeedupTags / baseRate : 0.0;
-    // The requested gate assumes the cores exist; on a smaller
-    // machine it scales down to 80% of hardware concurrency. With a
-    // single hardware thread there is no parallelism to measure at
-    // all -- a 1-worker pool against the inline baseline is pure
-    // handoff overhead -- so the gate is recorded but not enforced;
-    // multi-core CI runners enforce it.
-    const double requested =
-        static_cast<double>(cli.intOption("min-speedup-pct", 250)) /
-        100.0;
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    const double minSpeedup =
-        std::min(requested, 0.8 * static_cast<double>(hw));
-    const bool gated = hw >= 2;
-    const bool ok = !gated || speedup >= minSpeedup;
-    out.object("points", rows)
-        .object("baseline", runJson(base, speedupTags, 0))
-        .field("speedup", speedup)
-        .field("min_speedup_requested", requested)
-        .field("min_speedup", minSpeedup)
-        .field("hw_concurrency", static_cast<std::uint64_t>(hw))
-        .field("speedup_gated", gated)
         .field("ok", ok);
     return ok;
 }
@@ -382,22 +304,6 @@ main(int argc, char **argv)
             determinismCheck(cli, checkTags, epochs, det);
         summary.object("determinism", det);
         ok = ok && detOk;
-    }
-
-    if (cli.has("sweep")) {
-        bench::note("tag-count scaling sweep");
-        bench::Json sweep;
-        const unsigned sweepThreads =
-            threads != 0 ? threads
-                         : std::max(2u,
-                                    std::thread::
-                                        hardware_concurrency());
-        // No short-circuit: every requested gate must run and
-        // record its verdict even when an earlier one failed.
-        const bool sweepOk =
-            scalingSweep(cli, sweepThreads, epochs, sweep);
-        ok = ok && sweepOk;
-        summary.object("sweep", sweep);
     }
 
     if (cli.has("audit-sweep")) {

@@ -46,7 +46,6 @@ soakConfig(const bench::Cli &cli, unsigned tags, unsigned threads)
     cfg.threads = threads;
     cfg.seed = static_cast<std::uint64_t>(cli.intOption("seed", 42));
     cfg.epochLength = cli.intOption("epoch-us", 5000) * sim::oneUs;
-    cfg.wisp = bench::applyEngineFlags(cli);
     // Start charged with a dev-board cap so the targets execute (and
     // breakpoints can actually fire) from epoch one.
     cfg.wisp.power.initialVolts = 2.6;
@@ -190,9 +189,7 @@ main(int argc, char **argv)
         edbdbg::ClientWire *greedy = server.connect("greedy");
         auto sendRaw = [&](const std::string &json) {
             if (greedy && greedy->connected())
-                greedy->toServer(edbdbg::buildFrame(
-                    std::vector<std::uint8_t>(json.begin(),
-                                              json.end())));
+                greedy->toServer(edbdbg::buildJsonFrame(json));
         };
         sendRaw("{\"id\":1,\"m\":\"attach\",\"world\":1}");
 

@@ -51,8 +51,6 @@ struct Outcome
     std::uint64_t faultsInjected = 0;
     std::uint64_t brownOutsForced = 0;
     bool missingAbortReason = false;
-    mcu::Mcu::SuperblockStats sb{};
-    std::uint64_t instrs = 0;
     /** NV backend counters (mem/nv_region.hh): FRAM write traffic,
      *  per-word wear peak and torn commit bursts. */
     std::uint64_t nvWrites = 0;
@@ -90,7 +88,7 @@ drawPlan(std::uint64_t index, sim::Tick horizon)
 }
 
 Outcome
-runPlan(std::uint64_t index, const target::WispConfig &wisp_config)
+runPlan(std::uint64_t index)
 {
     const sim::Tick horizon = 1500 * sim::oneMs;
     sim::Simulator simulator(1000 + index);
@@ -98,8 +96,7 @@ runPlan(std::uint64_t index, const target::WispConfig &wisp_config)
     sim::FaultInjector inj(simulator, "inj",
                            drawPlan(index, horizon));
     energy::FadedHarvester faded(rf, inj);
-    target::Wisp wisp(simulator, "wisp", &faded, nullptr,
-                      wisp_config);
+    target::Wisp wisp(simulator, "wisp", &faded, nullptr);
     edbdbg::EdbBoard board(simulator, "edb", wisp);
     board.injectFaults(&inj);
     inj.armBrownOuts([&wisp] {
@@ -172,8 +169,6 @@ runPlan(std::uint64_t index, const target::WispConfig &wisp_config)
                          inj.stats().duplicated +
                          inj.stats().adcGlitches;
     out.brownOutsForced = inj.stats().brownOutsForced;
-    out.sb = wisp.mcu().superblockStats();
-    out.instrs = wisp.mcu().instrCount();
     const mem::NvRegion &fram = wisp.framRegion();
     out.nvWrites = fram.writeCount();
     out.nvMaxWear = fram.maxWear();
@@ -193,13 +188,10 @@ main(int argc, char **argv)
                   " randomized fault plans, linked-list app, energy "
                   "breakpoint at 2.0 V, 1.5 s horizon each");
 
-    const target::WispConfig wispConfig =
-        bench::applyEngineFlags(cli);
     Outcome total;
     int failedPlans = 0;
     for (int i = 0; i < plans; ++i) {
-        Outcome o =
-            runPlan(static_cast<std::uint64_t>(i), wispConfig);
+        Outcome o = runPlan(static_cast<std::uint64_t>(i));
         bool ok = o.stuck == 0 && !o.missingAbortReason;
         if (!ok) {
             ++failedPlans;
@@ -221,8 +213,6 @@ main(int argc, char **argv)
         total.abortedEpisodes += o.abortedEpisodes;
         total.faultsInjected += o.faultsInjected;
         total.brownOutsForced += o.brownOutsForced;
-        bench::accumulate(total.sb, o.sb);
-        total.instrs += o.instrs;
         total.nvWrites += o.nvWrites;
         if (o.nvMaxWear > total.nvMaxWear)
             total.nvMaxWear = o.nvMaxWear;
@@ -273,9 +263,7 @@ main(int argc, char **argv)
         .object("sessions", sessions)
         .field("frames_ok", total.framesOk)
         .field("crc_errors", total.crcErrors)
-        .field("resyncs", total.resyncs)
-        .object("superblocks",
-                bench::superblockJson(total.sb, total.instrs));
+        .field("resyncs", total.resyncs);
     bench::Json nv;
     nv.field("writes", total.nvWrites)
         .field("max_wear", total.nvMaxWear)

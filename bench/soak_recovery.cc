@@ -82,9 +82,8 @@ struct World
     mem::NvAuditor aud;
     sim::SchedulePlayer player;
 
-    explicit World(std::uint64_t seed, bool with_auditor,
-                   const target::WispConfig &config)
-        : sim(seed), wisp(sim, "wisp", &rf, nullptr, config),
+    explicit World(std::uint64_t seed, bool with_auditor)
+        : sim(seed), wisp(sim, "wisp", &rf, nullptr),
           aud(auditConfigFor(wisp), wisp.framRegion()), player(sim)
     {
         // The auditor object always exists (it is part of the
@@ -186,10 +185,6 @@ struct EpisodeResult
     bool recoveryFailed = false;
     sim::Tick eventTick = 0;
     sim::Tick snapTick = 0;
-    /** Superblock engine counters (nonzero in stall-mode episodes,
-     *  where the auditor is detached). */
-    mcu::Mcu::SuperblockStats sb{};
-    std::uint64_t instrs = 0;
     /** NV backend counters (mem/nv_region.hh). */
     std::uint64_t nvWrites = 0;
     std::uint64_t nvMaxWear = 0;
@@ -198,7 +193,7 @@ struct EpisodeResult
 };
 
 EpisodeResult
-runEpisode(std::uint64_t index, const target::WispConfig &config)
+runEpisode(std::uint64_t index)
 {
     // Even episodes hunt WAR findings (watchdog out of the way); odd
     // episodes exercise the stall detector alone (the auditor is
@@ -206,7 +201,7 @@ runEpisode(std::uint64_t index, const target::WispConfig &config)
     // app never commits, so a handful of reboots trips the watchdog).
     const bool stallMode = (index % 2) == 1;
     const sim::Tick horizon = 4 * sim::oneSec;
-    World w(5000 + index, !stallMode, config);
+    World w(5000 + index, !stallMode);
     w.wisp.flash(apps::buildLinkedListApp());
     w.wisp.start();
     sim::ProgressMonitor mon(stallMode ? 5 : (1u << 20));
@@ -230,8 +225,6 @@ runEpisode(std::uint64_t index, const target::WispConfig &config)
         detect(w, mon, !stallMode, horizon, &snapImg, &snapTick);
 
     EpisodeResult res;
-    res.sb = w.wisp.mcu().superblockStats();
-    res.instrs = w.wisp.mcu().instrCount();
     const mem::NvRegion &fram = w.wisp.framRegion();
     res.nvWrites = fram.writeCount();
     res.nvMaxWear = fram.maxWear();
@@ -287,17 +280,10 @@ main(int argc, char **argv)
 
     std::uint64_t quiet = 0, findingEvents = 0, stallEvents = 0;
     std::uint64_t reproduced = 0, recoveryFailures = 0;
-    mcu::Mcu::SuperblockStats sbTotal{};
-    std::uint64_t instrTotal = 0;
     std::uint64_t nvWrites = 0, nvMaxWear = 0, nvTornBursts = 0;
     std::uint64_t tornCommits = 0;
-    const target::WispConfig wispConfig =
-        bench::applyEngineFlags(cli);
     for (int i = 0; i < episodes; ++i) {
-        EpisodeResult r =
-            runEpisode(static_cast<std::uint64_t>(i), wispConfig);
-        bench::accumulate(sbTotal, r.sb);
-        instrTotal += r.instrs;
+        EpisodeResult r = runEpisode(static_cast<std::uint64_t>(i));
         nvWrites += r.nvWrites;
         if (r.nvMaxWear > nvMaxWear)
             nvMaxWear = r.nvMaxWear;
@@ -332,8 +318,6 @@ main(int argc, char **argv)
     bench::Json summary;
     bench::runConfigFields(summary, cli);
     summary.object("episodes", ep)
-        .object("superblocks",
-                bench::superblockJson(sbTotal, instrTotal))
         .object("nv", nv)
         .print();
 

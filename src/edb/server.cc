@@ -359,6 +359,15 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+std::vector<std::uint8_t>
+buildJsonFrame(const std::string &json)
+{
+    std::vector<std::uint8_t> payload(json.begin(), json.end());
+    if (payload.size() == proto::syncByte)
+        payload.push_back(' ');
+    return buildFrame(payload);
+}
+
 // --------------------------------------------------------------------
 // ClientWire
 
@@ -977,25 +986,39 @@ DebugServer::dispatchCmd(Session &s, const JsonValue &req)
         for (const analysis::RegionInfo &r : rep.regions)
             bounded = bounded && r.bounded;
         o << "\"ok\":true,\"verdict\":\""
-          << analysis::verdictName(rep.verdict) << "\",\"reason\":\""
-          << jsonEscape(rep.reason) << "\",\"bounded\":"
-          << (bounded ? "true" : "false") << ",\"budgetNc\":"
-          << nc(rep.budget) << ",\"bootNc\":" << nc(rep.bootCharge)
-          << ",\"worstNc\":" << nc(rep.worstRegionCharge)
-          << ",\"instrs\":" << rep.analyzedInstructions
-          << ",\"rg\":[";
+          << analysis::verdictName(rep.verdict) << "\",\"reason\":\"";
+        std::ostringstream tail;
+        tail << "\",\"bounded\":" << (bounded ? "true" : "false")
+             << ",\"budgetNc\":" << nc(rep.budget)
+             << ",\"bootNc\":" << nc(rep.bootCharge)
+             << ",\"worstNc\":" << nc(rep.worstRegionCharge)
+             << ",\"instrs\":" << rep.analyzedInstructions
+             << ",\"rg\":[";
         std::size_t emitted = 0;
         for (const analysis::RegionInfo &r : rep.regions) {
             if (emitted >= 4)
                 break; // paginate like "breaks": bounded reply size
             if (emitted)
-                o << ",";
-            o << "[" << hexAddr(r.entryPc) << ","
-              << (r.bounded ? nc(r.chargeMax) : -1) << "]";
+                tail << ",";
+            tail << "[" << hexAddr(r.entryPc) << ","
+                 << (r.bounded ? nc(r.chargeMax) : -1) << "]";
             ++emitted;
         }
-        o << "],\"nrg\":" << rep.regions.size() << "}";
-        enqueueReply(s, o.str());
+        tail << "],\"nrg\":" << rep.regions.size() << "}";
+        // The reason is free text of unbounded length: it gets what
+        // room the frame has left, cut between escape sequences.
+        const std::string head = o.str(), rest = tail.str();
+        const std::size_t fixed = head.size() + rest.size();
+        const std::size_t room =
+            fixed < proto::maxPayload ? proto::maxPayload - fixed : 0;
+        std::string reason;
+        for (char c : rep.reason) {
+            std::string e = jsonEscape(std::string(1, c));
+            if (reason.size() + e.size() > room)
+                break;
+            reason += e;
+        }
+        enqueueReply(s, head + reason + rest);
         return;
     }
     if (m == "write") {
@@ -1065,11 +1088,17 @@ DebugServer::enqueueReply(Session &s, const std::string &json,
     std::string body = json;
     if (body.size() > proto::maxPayload) {
         // Should be unreachable: every handler paginates/chunks to
-        // fit. Count it and degrade to a well-formed error.
+        // fit. Count it and degrade to a well-formed error that still
+        // carries the request id, so the client's wait resolves.
         ++stats_.oversizeReplies;
-        body = "{\"ok\":false,\"err\":\"oversize\"}";
+        std::ostringstream o;
+        o << "{";
+        if (auto v = JsonValue::parse(json))
+            if (auto id = v->getUint("id"))
+                o << "\"id\":" << *id << ",";
+        o << "\"ok\":false,\"err\":\"oversize\"}";
+        body = o.str();
     }
-    std::vector<std::uint8_t> payload(body.begin(), body.end());
     if (s.outbox.size() >= 4 * cfg.maxPendingCmds) {
         // Outbox cap: a client that never drains cannot grow
         // unbounded server state; the delivery retry path will shed
@@ -1085,7 +1114,7 @@ DebugServer::enqueueReply(Session &s, const std::string &json,
         }
         return false;
     }
-    s.outbox.push_back(buildFrame(payload));
+    s.outbox.push_back(buildJsonFrame(body));
     ++stats_.framesOut;
     return true;
 }
@@ -1267,8 +1296,7 @@ DebugServer::terminate(Session &s, SessionOutcome outcome,
     std::string bye = "{\"ev\":\"bye\",\"reason\":\"" +
                       jsonEscape(reason) + "\",\"outcome\":\"" +
                       sessionOutcomeName(outcome) + "\"}";
-    s.wire->toClient(
-        buildFrame(std::vector<std::uint8_t>(bye.begin(), bye.end())));
+    s.wire->toClient(buildJsonFrame(bye));
     s.cmds.clear();
 
     s.rpt.outcome = outcome;
@@ -1340,10 +1368,7 @@ RpcClient::request(const std::string &body)
     std::uint64_t id = nextId++;
     std::ostringstream o;
     o << "{\"id\":" << id << "," << body << "}";
-    std::string json = o.str();
-    auto frame = buildFrame(
-        std::vector<std::uint8_t>(json.begin(), json.end()));
-    auto bytes = faults_.onFrame(frame);
+    auto bytes = faults_.onFrame(buildJsonFrame(o.str()));
     staged.insert(staged.end(), bytes.begin(), bytes.end());
     if (faults_.wantsDisconnect())
         wire_->disconnect(); // mid-command vanishing act

@@ -130,6 +130,15 @@ class JsonValue
 std::string jsonEscape(const std::string &s);
 
 /**
+ * Frame one JSON-RPC message (server replies and events, RpcClient
+ * requests). A body of exactly proto::syncByte (126) bytes would put
+ * the sync byte in the length slot, which the parser takes for a
+ * repeated sync (runtime/protocol_defs.hh), so it gets one trailing
+ * space; JSON ignores trailing whitespace.
+ */
+std::vector<std::uint8_t> buildJsonFrame(const std::string &json);
+
+/**
  * One in-memory duplex connection between a client and the server.
  * Both directions are bounded byte queues; a full queue rejects
  * writes (that is the backpressure signal, not silent loss). The

@@ -55,7 +55,8 @@ target::WispConfig
 worldConfig(const OracleCase &c, bool reference, bool checkpointing,
             bool crash_commit)
 {
-    target::WispConfig config;
+    target::WispConfig config =
+        reference ? target::referenceEngine() : target::WispConfig{};
     config.power.capacitanceF = c.capacitanceF;
     config.power.initialVolts = c.initialVolts;
     config.mcu.checkpointingEnabled = checkpointing;
@@ -64,14 +65,6 @@ worldConfig(const OracleCase &c, bool reference, bool checkpointing,
         // tear at any NV word.
         config.mcu.commitDiscipline = mcu::CommitDiscipline::Sealed;
         config.mcu.interruptibleCommit = true;
-    }
-    if (reference) {
-        config.mcu.predecodeCache = false;
-        config.mcu.flatDispatch = false;
-        config.mcu.batchedDrain = false;
-        config.mcu.batchedSlices = false;
-        config.mcu.superblocks = false;
-        config.power.fastIntegration = false;
     }
     return config;
 }

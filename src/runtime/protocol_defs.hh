@@ -33,7 +33,11 @@ namespace edb::runtime::proto {
 /// @name Frame layer
 /// @{
 /** Start-of-frame marker (may also occur inside payloads; the CRC
- *  and length plausibility checks weed out false syncs). */
+ *  and length plausibility checks weed out false syncs). A payload
+ *  of exactly 0x7E bytes cannot be framed unambiguously: its length
+ *  byte reads as a repeated SYNC, so the receiver drops the frame.
+ *  JSON-RPC bodies of that length are padded by one space
+ *  (edbdbg::buildJsonFrame); target messages are not. */
 constexpr std::uint8_t syncByte = 0x7E;
 /** CRC-8 polynomial (x^8 + x^2 + x + 1). */
 constexpr std::uint8_t crcPoly = 0x07;

@@ -168,7 +168,10 @@ class Mt64
     }
 
     result_type state[n];
-    result_type out[n];
+    /** Value-initialised: exportState() copies it before the first
+     *  refill, and snapshots and digests of a fresh engine must not
+     *  depend on whatever the storage held. */
+    result_type out[n]{};
     unsigned index;
 };
 

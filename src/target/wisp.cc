@@ -22,6 +22,18 @@ withNvTech(WispConfig config)
 
 } // namespace
 
+WispConfig
+referenceEngine(WispConfig base)
+{
+    base.mcu.predecodeCache = false;
+    base.mcu.flatDispatch = false;
+    base.mcu.batchedDrain = false;
+    base.mcu.batchedSlices = false;
+    base.mcu.superblocks = false;
+    base.power.fastIntegration = false;
+    return base;
+}
+
 Wisp::Wisp(sim::Simulator &simulator, std::string component_name,
            const energy::Harvester *harvester,
            rfid::RfChannel *channel, WispConfig config)

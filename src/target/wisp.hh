@@ -86,6 +86,14 @@ struct WispConfig
     mem::NvTechConfig nvTech = {};
 };
 
+/**
+ * The reference engine: `base` with all six fast-path switches off
+ * (predecode cache, flat dispatch, batched drain, batched slices,
+ * superblocks and fast integration). Every other engine must
+ * reproduce its trajectories bit for bit (DESIGN.md §10).
+ */
+WispConfig referenceEngine(WispConfig base = {});
+
 /** The assembled target device. */
 class Wisp : public sim::Component
 {

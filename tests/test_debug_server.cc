@@ -13,12 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "edb/protocol.hh"
 #include "edb/server.hh"
 #include "edb/vbreak.hh"
 #include "fleet/fleet.hh"
+#include "fuzz/generator.hh"
 #include "isa/assembler.hh"
 #include "isa/listing.hh"
 #include "sim/rng.hh"
@@ -641,8 +645,7 @@ TEST(DebugServer, MidFrameDisconnectNeverWedges)
     // A valid attach, then a frame that stops after the length byte:
     // sync + len(40) and silence.
     std::string attach = "{\"id\":1,\"m\":\"attach\",\"world\":0}";
-    wire->toServer(edbdbg::buildFrame(
-        std::vector<std::uint8_t>(attach.begin(), attach.end())));
+    wire->toServer(edbdbg::buildJsonFrame(attach));
     wire->toServer({0x7E, 40, 0x11, 0x22});
     server.runEpochs(3);
     // Mid-frame with a live wire is not stuck — the inter-byte
@@ -878,4 +881,166 @@ TEST(DebugServer, AnalyzeSpamShedsOnEvalBudget)
     ASSERT_EQ(server.reports().size(), 1u);
     EXPECT_EQ(server.reports()[0].outcome, SessionOutcome::Shed);
     EXPECT_EQ(server.reports()[0].reason, "eval-budget");
+}
+
+// ---------------------------------------------------------------------
+// JSON-RPC framing: every message the layer sends arrives
+
+TEST(JsonRpcFraming, BodiesOfEveryLengthParseBack)
+{
+    // Both directions frame through buildJsonFrame and parse with a
+    // ProtocolEngine. Length 126 is the sync byte; unpadded, the
+    // parser reads it as a repeated sync and drops the frame.
+    for (std::size_t len = 1; len <= 255; ++len) {
+        const std::string body =
+            len == 1 ? "7" : "\"" + std::string(len - 2, 'a') + "\"";
+        edbdbg::ProtocolEngine engine;
+        std::vector<std::vector<std::uint8_t>> got;
+        engine.handlers.rawFrame =
+            [&got](const std::vector<std::uint8_t> &pl) {
+                got.push_back(pl);
+                return true;
+            };
+        for (std::uint8_t b : edbdbg::buildJsonFrame(body))
+            engine.onByte(b);
+        ASSERT_EQ(got.size(), 1u) << "length " << len;
+        auto v = JsonValue::parse(got[0]);
+        ASSERT_TRUE(v.has_value()) << "length " << len;
+        if (len == 1)
+            EXPECT_EQ(v->num(), 7.0);
+        else
+            EXPECT_EQ(v->str().size(), len - 2) << "length " << len;
+    }
+}
+
+TEST(DebugServer, RequestsAndRepliesOfEveryLengthArrive)
+{
+    fleet::Fleet fleet(tinyFleet());
+    DebugServer server(fleet);
+    RpcClient rpc(server, "lengths");
+    std::uint64_t next = 1; // RpcClient numbers requests from 1
+    auto digits = [](std::uint64_t v) {
+        return std::to_string(v).size();
+    };
+
+    // Server -> client: `read` replies are
+    // {"id":N,"ok":true,"d":"<2*len hex>"}, 24 + digits(N) + 2*len
+    // bytes; len 0..64 spans 25 to 154, and a two-digit id with
+    // len 50 lands on 126.
+    ASSERT_TRUE(awaitId(rpc, rpc.request(
+                                 "\"m\":\"attach\",\"world\":0"))
+                    .has_value());
+    ++next;
+    bool saw126 = false;
+    for (std::uint64_t len = 0; len <= 64; ++len) {
+        const std::uint64_t id = rpc.request(
+            "\"m\":\"read\",\"addr\":\"0x4000\",\"len\":" +
+            std::to_string(len));
+        ASSERT_EQ(id, next++);
+        saw126 = saw126 || 24 + digits(id) + 2 * len == 126;
+        auto r = awaitId(rpc, id);
+        ASSERT_TRUE(r.has_value()) << "read len " << len;
+        EXPECT_EQ(r->getStr("d").value_or("").size(), 2 * len);
+    }
+    EXPECT_TRUE(saw126);
+
+    // Client -> server: pad a ping to every request length from its
+    // shortest form up to the 255-byte frame limit.
+    const std::string head = "\"m\":\"ping\",\"pad\":\"";
+    for (std::size_t want = 30; want <= 255; ++want) {
+        // {"id":N, + head + pad + "}
+        const std::size_t fixed = 7 + digits(next) + head.size() + 2;
+        ASSERT_LE(fixed, want);
+        const std::uint64_t id = rpc.request(
+            head + std::string(want - fixed, 'x') + "\"");
+        ASSERT_EQ(id, next++);
+        auto r = awaitId(rpc, id);
+        ASSERT_TRUE(r.has_value()) << "request length " << want;
+        EXPECT_TRUE(r->get("ok")->boolean(false));
+    }
+    EXPECT_EQ(server.stats().malformedJson, 0u);
+}
+
+TEST(DebugServer, OversizeReplyStillAnswersItsRequest)
+{
+    fleet::Fleet fleet(tinyFleet());
+    ServerConfig cfg;
+    cfg.readChunkMax = 200; // 400 hex digits: over one frame
+    DebugServer server(fleet, cfg);
+    RpcClient rpc(server, "big");
+    ASSERT_TRUE(awaitId(rpc, rpc.request(
+                                 "\"m\":\"attach\",\"world\":0"))
+                    .has_value());
+    std::uint64_t id =
+        rpc.request("\"m\":\"read\",\"addr\":\"0x4000\",\"len\":200");
+    auto r = awaitId(rpc, id);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_TRUE(isErr(*r, "oversize"));
+    EXPECT_EQ(server.stats().oversizeReplies, 1u);
+}
+
+TEST(DebugServer, AnalyzeRepliesFitOneFrameOnGeneratedPrograms)
+{
+    // Generated programs give the analyzer long free-text reasons;
+    // each reply must still fit one frame, even under a 16-digit
+    // request id. Seeds follow the benchmark's debug-server fleet
+    // (seed 5), whose world 3 once produced a 256-byte reply.
+    constexpr unsigned programs = 256;
+    const std::string bigId = "1000000000000000";
+    fleet::FleetConfig cfg = tinyFleet(programs);
+    cfg.epochLength = 10 * sim::oneUs; // the RPCs, not the worlds
+    auto firmware = [](std::uint32_t i) {
+        fuzz::GeneratorOptions small;
+        small.minElements = 3;
+        small.maxElements = 10;
+        fuzz::CaseSpec spec = fuzz::generateCase(5 * 7919 + i, small);
+        fleet::WorldFirmware fw;
+        fw.listing = fuzz::renderProgram(spec);
+        fw.checkpointing = spec.checkpointing;
+        return fw;
+    };
+    fleet::Fleet fleet(cfg, firmware);
+    DebugServer server(fleet);
+
+    const unsigned batch =
+        static_cast<unsigned>(ServerConfig{}.maxClients);
+    std::size_t answered = 0;
+    for (unsigned first = 0; first < programs; first += batch) {
+        const unsigned n = std::min(batch, programs - first);
+        std::vector<edbdbg::ClientWire *> wires;
+        std::vector<edbdbg::ProtocolEngine> parsers(n);
+        std::vector<int> verdicts(n, -1); // -1 no reply, 0 oversize
+        for (unsigned c = 0; c < n; ++c) {
+            wires.push_back(server.connect("analyst"));
+            ASSERT_NE(wires.back(), nullptr);
+            wires.back()->toServer(edbdbg::buildJsonFrame(
+                "{\"id\":1,\"m\":\"attach\",\"world\":" +
+                std::to_string(first + c) + "}"));
+            wires.back()->toServer(edbdbg::buildJsonFrame(
+                "{\"id\":" + bigId + ",\"m\":\"analyze\"}"));
+            parsers[c].handlers.rawFrame =
+                [&verdicts, c, &bigId](
+                    const std::vector<std::uint8_t> &pl) {
+                    auto r = JsonValue::parse(pl);
+                    if (r && std::to_string(r->getUint("id").value_or(
+                                 0)) == bigId)
+                        verdicts[c] = !isErr(*r, "oversize");
+                    return true;
+                };
+        }
+        for (unsigned e = 0; e < 10; ++e) {
+            server.runEpoch();
+            for (unsigned c = 0; c < n; ++c)
+                for (std::uint8_t b : wires[c]->fromServer())
+                    parsers[c].onByte(b);
+        }
+        for (unsigned c = 0; c < n; ++c) {
+            EXPECT_EQ(verdicts[c], 1) << "world " << first + c;
+            answered += verdicts[c] == 1;
+            wires[c]->disconnect();
+        }
+        server.runEpoch();
+    }
+    EXPECT_EQ(answered, programs);
+    EXPECT_EQ(server.stats().oversizeReplies, 0u);
 }

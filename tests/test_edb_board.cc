@@ -379,10 +379,19 @@ TEST(ProtocolEngine, InterByteTimeoutResyncs)
 
 struct FormatCase
 {
+    const char *label;
     const char *fmt;
     std::vector<std::uint32_t> args;
     const char *expected;
 };
+
+// Without this, GoogleTest prints a case as its raw bytes, which hold
+// pointers and so change from run to run; CTest builds the test names
+// from that printout.
+void PrintTo(const FormatCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
 
 class PrintfFormat : public ::testing::TestWithParam<FormatCase>
 {};
@@ -396,16 +405,16 @@ TEST_P(PrintfFormat, Renders)
 INSTANTIATE_TEST_SUITE_P(
     Cases, PrintfFormat,
     ::testing::Values(
-        FormatCase{"plain", {}, "plain"},
-        FormatCase{"%d", {5}, "5"},
-        FormatCase{"%d", {0xFFFFFFFF}, "-1"},
-        FormatCase{"%u", {0xFFFFFFFF}, "4294967295"},
-        FormatCase{"%x", {255}, "ff"},
-        FormatCase{"%c%c", {'h', 'i'}, "hi"},
-        FormatCase{"100%%", {}, "100%"},
-        FormatCase{"%q", {7}, "%q"},        // unknown passes through
-        FormatCase{"%d %d", {1}, "1 0"},    // missing arg reads 0
-        FormatCase{"trail%", {}, "trail%"} // lone % at end
+        FormatCase{"plain", "plain", {}, "plain"},
+        FormatCase{"signed", "%d", {5}, "5"},
+        FormatCase{"signed_negative", "%d", {0xFFFFFFFF}, "-1"},
+        FormatCase{"unsigned_max", "%u", {0xFFFFFFFF}, "4294967295"},
+        FormatCase{"hex", "%x", {255}, "ff"},
+        FormatCase{"chars", "%c%c", {'h', 'i'}, "hi"},
+        FormatCase{"escaped_percent", "100%%", {}, "100%"},
+        FormatCase{"unknown_conversion", "%q", {7}, "%q"}, // passes through
+        FormatCase{"missing_arg", "%d %d", {1}, "1 0"},    // reads 0
+        FormatCase{"trailing_percent", "trail%", {}, "trail%"} // lone %
         ));
 
 struct BoardRig

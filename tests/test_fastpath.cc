@@ -37,19 +37,6 @@ struct RunTrace
     double volts = 0.0;
 };
 
-target::WispConfig
-referencePathConfig()
-{
-    target::WispConfig config;
-    config.mcu.predecodeCache = false;
-    config.mcu.flatDispatch = false;
-    config.mcu.batchedDrain = false;
-    config.mcu.batchedSlices = false;
-    config.mcu.superblocks = false;
-    config.power.fastIntegration = false;
-    return config;
-}
-
 /** Linked-list app on harvested RF power: boots, brown-outs,
  *  checkpoints and restores, all driven by the shared RNG stream. */
 RunTrace
@@ -94,7 +81,7 @@ TEST(FastPath, GoldenTraceMatchesReferencePath)
         SCOPED_TRACE(testing::Message() << "seed=" << seed);
         RunTrace fast = runLinkedListOnRf(target::WispConfig{}, seed,
                                           2 * sim::oneSec);
-        RunTrace ref = runLinkedListOnRf(referencePathConfig(), seed,
+        RunTrace ref = runLinkedListOnRf(target::referenceEngine(), seed,
                                          2 * sim::oneSec);
 
         // The workload must actually exercise intermittence, or the
@@ -176,7 +163,7 @@ TEST(FastPath, SelfModifyingStoreMatchesUncachedSemantics)
 {
     Rig fast;
     auto &mcuFast = fast.run(selfModifyingBody);
-    Rig ref(referencePathConfig());
+    Rig ref(target::referenceEngine());
     auto &mcuRef = ref.run(selfModifyingBody);
     ASSERT_EQ(mcuFast.state(), mcu::McuState::Halted);
     ASSERT_EQ(mcuRef.state(), mcu::McuState::Halted);
@@ -284,7 +271,7 @@ TEST(Superblock, PatchInsideLiveBlockForcesRebuild)
     EXPECT_GT(sb.execs, 0u);
     EXPECT_GT(sb.rebuilds + sb.blocksBuilt, 1u);
 
-    Rig ref(referencePathConfig());
+    Rig ref(target::referenceEngine());
     auto &mcuRef = ref.run(selfModifyingBody);
     ASSERT_EQ(mcuRef.state(), mcu::McuState::Halted);
     EXPECT_EQ(mcuFast.reg(4), mcuRef.reg(4));
@@ -330,7 +317,7 @@ TEST(Superblock, BrownOutMidBlockMatchesReference)
     };
 
     Probe fast = probe(target::WispConfig{});
-    Probe ref = probe(referencePathConfig());
+    Probe ref = probe(target::referenceEngine());
 
     // The rig must really brown out while blocks are running.
     EXPECT_GT(fast.reboots, 0u);
@@ -370,7 +357,7 @@ loop:
 )";
     target::WispConfig chkptOn;
     chkptOn.mcu.checkpointingEnabled = true;
-    target::WispConfig chkptRef = referencePathConfig();
+    target::WispConfig chkptRef = target::referenceEngine();
     chkptRef.mcu.checkpointingEnabled = true;
 
     Rig fast(chkptOn);

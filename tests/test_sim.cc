@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <iterator>
+#include <new>
 #include <vector>
 
 #include "sim/event.hh"
@@ -352,6 +356,24 @@ TEST(Rng, ImportClampsCorruptIndex)
     b.importState(s);
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(a.raw()(), b.raw()());
+}
+
+TEST(Rng, FreshEngineStateIgnoresPriorStorage)
+{
+    // Before the first refill the output buffer is still part of the
+    // exported state (snapshots and world digests copy it), so it
+    // must not carry whatever bytes the storage held.
+    alignas(Mt64) unsigned char storage[sizeof(Mt64)];
+    std::memset(storage, 0xA5, sizeof(storage));
+    Mt64 *dirty = new (storage) Mt64();
+    const Mt64::State got = dirty->exportState();
+    const Mt64::State want = Mt64().exportState();
+    dirty->~Mt64();
+    EXPECT_TRUE(std::equal(std::begin(got.state), std::end(got.state),
+                           std::begin(want.state)));
+    EXPECT_TRUE(std::equal(std::begin(got.out), std::end(got.out),
+                           std::begin(want.out)));
+    EXPECT_EQ(got.index, want.index);
 }
 
 TEST(Rng, ExportImportCoversDistributionHelpers)

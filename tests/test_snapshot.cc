@@ -201,12 +201,7 @@ TEST(SnapshotResume, BitIdenticalOnFastPath)
 
 TEST(SnapshotResume, BitIdenticalOnReferencePath)
 {
-    target::WispConfig cfg;
-    cfg.mcu.predecodeCache = false;
-    cfg.mcu.flatDispatch = false;
-    cfg.mcu.batchedDrain = false;
-    cfg.mcu.batchedSlices = false;
-    resumeEquivalence(cfg, 11);
+    resumeEquivalence(target::referenceEngine(), 11);
 }
 
 TEST(SnapshotResume, BitIdenticalWithCheckpointing)
