@@ -99,9 +99,7 @@ runPlan(std::uint64_t index)
     target::Wisp wisp(simulator, "wisp", &faded, nullptr);
     edbdbg::EdbBoard board(simulator, "edb", wisp);
     board.injectFaults(&inj);
-    inj.armBrownOuts([&wisp] {
-        wisp.power().capacitor().setVoltage(0.5);
-    });
+    wisp.attachFaults(inj);
 
     apps::LinkedListOptions options;
     options.withAssert = true;

@@ -38,16 +38,14 @@
 #include "mem/nv_audit.hh"
 #include "mem/nv_region.hh"
 #include "sim/fault.hh"
-#include "sim/replay.hh"
 #include "sim/simulator.hh"
-#include "target/wisp.hh"
+#include "target/rig.hh"
 
 using namespace edb;
 
 namespace {
 
 constexpr sim::Tick quantum = sim::oneMs;
-constexpr std::uint32_t opBrownOut = 1;
 
 struct CellStats
 {
@@ -63,15 +61,6 @@ struct CellStats
     std::uint64_t totalWear = 0;
     std::uint64_t wornWords = 0;
 };
-
-mem::NvAuditConfig
-auditConfigFor(const target::Wisp &wisp)
-{
-    mem::NvAuditConfig cfg;
-    cfg.checkpointBase = wisp.config().mcu.checkpointBase;
-    cfg.checkpointSpan = 2 * wisp.config().mcu.checkpointSlotSize;
-    return cfg;
-}
 
 /** A generated checkpointing case: the fuzzer's constrained
  *  generator with checkpoint elements forced in so commit bursts
@@ -112,39 +101,18 @@ runEpisode(mcu::CommitDiscipline discipline,
     energy::TheveninHarvester src(3.1, 900.0);
     target::Wisp wisp(simulator, "wisp", &src, nullptr, config);
 
-    sim::FaultPlan plan;
-    plan.enabled = true;
-    plan.seed = seed ^ 0x6E767470ULL; // "nvtp"
-    {
-        sim::Rng rng(plan.seed);
-        plan.nvTearAtCommitWord =
-            static_cast<std::uint64_t>(rng.uniformInt(1, 120));
-        plan.nvTornCorruptProb = 0.5;
-    }
-    sim::FaultInjector fault(simulator, "fault", plan);
-    fault.armBrownOuts([&wisp] {
-        wisp.power().capacitor().setVoltage(0.5);
-    });
-    mcu::Mcu::NvCommitHooks hooks;
-    hooks.onCommitWord = [&fault] { fault.onNvCommitWord(); };
-    hooks.onTornWord = [&fault](std::uint32_t &word) {
-        return fault.onTornWord(word);
-    };
-    wisp.mcu().setNvCommitHooks(hooks);
+    // Tear plan seeded from the episode seed ^ "nvtp".
+    sim::FaultInjector fault(simulator, "fault",
+                             sim::tornCommitPlan(seed ^ 0x6E767470ULL));
+    wisp.attachFaults(fault);
 
-    mem::NvAuditor aud(auditConfigFor(wisp), wisp.framRegion());
-    wisp.mcu().setAuditor(&aud);
-    wisp.memoryMap().setWriteHook(&mem::NvAuditor::rawWriteHook,
-                                  &aud);
+    mem::NvAuditor aud = wisp.makeAuditor();
+    wisp.attachAuditor(&aud);
 
-    sim::ScheduleLog log;
+    target::BrownOutSchedule brownOuts(wisp);
     for (const fuzz::BrownOut &b : c.schedule)
-        log.record(b.at, opBrownOut, b.volts);
-    sim::SchedulePlayer player(simulator);
-    player.arm(log, 0, [&wisp](const sim::ScheduleEntry &e) {
-        if (e.op == opBrownOut)
-            wisp.power().capacitor().setVoltage(e.arg);
-    });
+        brownOuts.add(b.at, b.volts);
+    brownOuts.arm();
 
     wisp.flash(isa::assemble(c.program));
     wisp.start();

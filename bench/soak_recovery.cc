@@ -5,9 +5,9 @@
  * Runs the paper's buggy linked-list firmware on harvested power
  * under randomized forced-brown-out schedules, with the NV
  * consistency auditor attached and a forward-progress watchdog
- * armed. Every environment action is recorded in a `ScheduleLog`,
- * and the full world (target + auditor + watchdog) is snapshotted
- * every 100 ms.
+ * armed. Every forced brown-out is recorded in a
+ * `target::BrownOutSchedule`, and the full world (target + auditor +
+ * watchdog) is snapshotted every 100 ms.
  *
  * When an episode hits an event — a write-after-read violation from
  * the auditor, or the watchdog tripping on reboots without a
@@ -31,7 +31,7 @@
 #include "sim/replay.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
-#include "target/wisp.hh"
+#include "target/rig.hh"
 
 using namespace edb;
 
@@ -39,9 +39,6 @@ namespace {
 
 constexpr sim::Tick quantum = sim::oneMs;
 constexpr sim::Tick snapPeriod = 100 * sim::oneMs;
-
-/** Environment opcodes recorded in the schedule log. */
-constexpr std::uint32_t opBrownOut = 1;
 
 /** What a detection pass can end with. */
 struct Event
@@ -64,27 +61,18 @@ sameEvent(const Event &a, const Event &b)
            a.reboots == b.reboots;
 }
 
-mem::NvAuditConfig
-auditConfigFor(const target::Wisp &wisp)
-{
-    mem::NvAuditConfig cfg;
-    cfg.checkpointBase = wisp.config().mcu.checkpointBase;
-    cfg.checkpointSpan = 2 * wisp.config().mcu.checkpointSlotSize;
-    return cfg;
-}
-
-/** One episode's world: target + auditor + schedule player. */
+/** One episode's world: target + auditor + forced brown-outs. */
 struct World
 {
     sim::Simulator sim;
     energy::RfHarvester rf{30.0, 1.0};
     target::Wisp wisp;
     mem::NvAuditor aud;
-    sim::SchedulePlayer player;
+    target::BrownOutSchedule brownOuts;
 
     explicit World(std::uint64_t seed, bool with_auditor)
         : sim(seed), wisp(sim, "wisp", &rf, nullptr),
-          aud(auditConfigFor(wisp), wisp.framRegion()), player(sim)
+          aud(wisp.makeAuditor()), brownOuts(wisp)
     {
         // The auditor object always exists (it is part of the
         // snapshot layout) but is only wired into the core when the
@@ -93,18 +81,8 @@ struct World
         // leaving it detached in stall-mode episodes lets the
         // superblock tier run under the same snapshot/rewind
         // machinery — architecturally identical either way.
-        if (with_auditor) {
-            wisp.mcu().setAuditor(&aud);
-            wisp.memoryMap().setWriteHook(
-                &mem::NvAuditor::rawWriteHook, &aud);
-        }
-    }
-
-    void
-    apply(const sim::ScheduleEntry &e)
-    {
-        if (e.op == opBrownOut)
-            wisp.power().capacitor().setVoltage(e.arg);
+        if (with_auditor)
+            wisp.attachAuditor(&aud);
     }
 };
 
@@ -120,8 +98,7 @@ snapshotWorld(const World &w, const sim::ProgressMonitor &mon)
 
 bool
 rewindWorld(World &w, sim::ProgressMonitor &mon,
-            const std::vector<std::uint8_t> &image,
-            const sim::ScheduleLog &log, sim::Tick snap_tick)
+            const std::vector<std::uint8_t> &image, sim::Tick snap_tick)
 {
     sim::SnapshotReader r;
     if (!r.load(image))
@@ -133,10 +110,7 @@ rewindWorld(World &w, sim::ProgressMonitor &mon,
     if (!r.ok())
         return false;
     rearmer.flush();
-    // Entries at or before the snapshot tick are already reflected in
-    // the restored state; re-arm only the suffix.
-    w.player.arm(log, snap_tick,
-                 [&w](const sim::ScheduleEntry &e) { w.apply(e); });
+    w.brownOuts.arm(snap_tick);
     return true;
 }
 
@@ -208,16 +182,17 @@ runEpisode(std::uint64_t index)
 
     // Randomized environment, recorded for replay: forced brown-outs
     // multiply the power-loss windows the linked-list bug needs.
-    sim::ScheduleLog log;
     sim::Rng meta(7000 + index);
     auto count = meta.uniformInt(8, 20);
-    for (decltype(count) i = 0; i < count; ++i)
-        log.record(
-            static_cast<sim::Tick>(
-                meta.uniformInt(100 * sim::oneMs, horizon)),
-            opBrownOut, meta.uniform(0.8, 1.7));
-    w.player.arm(log, 0,
-                 [&w](const sim::ScheduleEntry &e) { w.apply(e); });
+    for (decltype(count) i = 0; i < count; ++i) {
+        // Draw order (voltage, then tick) is part of the episode's
+        // seed-to-schedule mapping.
+        const double volts = meta.uniform(0.8, 1.7);
+        w.brownOuts.add(static_cast<sim::Tick>(meta.uniformInt(
+                            100 * sim::oneMs, horizon)),
+                        volts);
+    }
+    w.brownOuts.arm();
 
     std::vector<std::uint8_t> snapImg = snapshotWorld(w, mon);
     sim::Tick snapTick = 0;
@@ -240,7 +215,7 @@ runEpisode(std::uint64_t index)
     // recorded schedule; the event must recur identically, twice.
     res.reproduced = true;
     for (int attempt = 0; attempt < 2; ++attempt) {
-        if (!rewindWorld(w, mon, snapImg, log, snapTick)) {
+        if (!rewindWorld(w, mon, snapImg, snapTick)) {
             res.reproduced = false;
             res.recoveryFailed = true;
             break;

@@ -135,10 +135,7 @@ main()
         target::Wisp wisp(simulator, "wisp", &rf, nullptr);
         edbdbg::EdbBoard edb(simulator, "edb", wisp);
 
-        mem::NvAuditConfig acfg;
-        acfg.checkpointBase = wisp.config().mcu.checkpointBase;
-        acfg.checkpointSpan = 2 * wisp.config().mcu.checkpointSlotSize;
-        mem::NvAuditor audit(acfg, wisp.framRegion());
+        mem::NvAuditor audit = wisp.makeAuditor();
         edb.attachAuditor(&audit);
 
         // The unmodified buggy app: no assert, no instrumentation.

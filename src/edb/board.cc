@@ -200,15 +200,8 @@ void
 EdbBoard::attachAuditor(mem::NvAuditor *auditor)
 {
     audit_ = auditor;
-    wisp.mcu().setAuditor(auditor);
-    if (auditor) {
-        wisp.memoryMap().setWriteHook(&mem::NvAuditor::rawWriteHook,
-                                      auditor);
-        auditSeen = auditor->violationCount();
-    } else {
-        wisp.memoryMap().clearWriteHook();
-        auditSeen = 0;
-    }
+    wisp.attachAuditor(auditor);
+    auditSeen = auditor ? auditor->violationCount() : 0;
 }
 
 bool

@@ -199,10 +199,10 @@ class EdbBoard : public sim::Component
     void injectFaults(sim::FaultInjector *fault_injector);
 
     /**
-     * Attach the NV consistency auditor (nullptr detaches): wires it
-     * into the target's interpreter and memory map, and makes the
-     * board break the target in — opening a ConsistencyViolation
-     * session — whenever fresh WAR findings appear. Findings are
+     * Attach the NV consistency auditor (nullptr detaches) through
+     * `target::Wisp::attachAuditor`, and make the board break the
+     * target in — opening a ConsistencyViolation session — whenever
+     * fresh WAR findings appear. Findings are
      * produced at power loss, when nothing can run, so the break-in
      * happens from the passive sampling loop once the target is back
      * up. The auditor outlives the attachment (caller-owned).

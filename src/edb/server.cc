@@ -468,9 +468,8 @@ DebugServer::DebugServer(fleet::Fleet &fleet, ServerConfig config)
 
 DebugServer::~DebugServer()
 {
-    // Tracers installed on fleet worlds capture probe objects this
-    // server owns; unwind them (restoring any world-owned tracer
-    // they chained under) so the fleet can keep running.
+    // Tracers subscribed on fleet worlds capture probe objects this
+    // server owns; unsubscribe them so the fleet can keep running.
     for (auto &[w, probe] : probes) {
         if (w < fleet_.size())
             probe.uninstall(fleet_.world(w).wisp());

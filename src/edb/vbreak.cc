@@ -417,35 +417,17 @@ VBreakCondition::eval(const target::Wisp &wisp) const
 void
 WorldProbe::install(target::Wisp &wisp)
 {
-    auto &m = wisp.mcu();
-    if (m.tracerOwner() == this)
-        return; // our chain is already on this core
-    // A world may own a tracer of its own (the WAR-gadget watch on
-    // auditor-completeness worlds). Chain under it so attaching a
-    // breakpoint never disables the world's probe; it is restored
-    // verbatim by uninstall().
-    chained = m.tracerHook();
     target::Wisp *device = &wisp;
-    m.setTracer(
-        [this, device](mem::Addr pc, const isa::Instr &in) {
-            if (chained)
-                chained(pc, in);
-            onInstruction(*device, pc);
-        },
-        this);
+    wisp.mcu().addTracer(this, [this, device](mem::Addr pc,
+                                              const isa::Instr &) {
+        onInstruction(*device, pc);
+    });
 }
 
 void
 WorldProbe::uninstall(target::Wisp &wisp)
 {
-    auto &m = wisp.mcu();
-    // A rebalance-migrated world was rebuilt with a fresh core and
-    // its own tracer; only unwind a hook we actually installed —
-    // restoring a stale `chained` there would resurrect a lambda
-    // bound to the old, destroyed world.
-    if (m.tracerOwner() == this)
-        m.setTracer(std::move(chained));
-    chained = {};
+    wisp.mcu().removeTracer(this);
 }
 
 void

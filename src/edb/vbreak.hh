@@ -43,7 +43,6 @@
 #define EDB_EDB_VBREAK_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -143,22 +142,18 @@ class WorldProbe
     {}
 
     /**
-     * Install (or re-install) this probe's tracer on `wisp`. The
+     * Subscribe (or re-subscribe) this probe's tracer on `wisp`. The
      * fleet's rebalance step migrates worlds into fresh objects, so
-     * the server calls this at every barrier poll; installing on the
-     * same device twice is harmless (the second call is a no-op).
-     * A tracer the world already owns — e.g. the WAR-gadget watch on
-     * auditor-completeness worlds — is chained under this probe's
-     * hook, not clobbered, and keeps firing for every instruction.
+     * the server calls this at every barrier poll; re-subscribing on
+     * the same device replaces the probe's entry, so it never fires
+     * twice. Tracers the world subscribed itself (the WAR-gadget
+     * watch on auditor-completeness worlds) keep firing alongside.
      */
     void install(target::Wisp &wisp);
 
-    /**
-     * Remove the tracer (last session on the world detached),
-     * restoring whatever tracer the world owned before install().
-     * A no-op on a device this probe's hook is not installed on
-     * (e.g. a rebalance-migrated world rebuilt with its own tracer).
-     */
+    /** Unsubscribe (last session on the world detached); the
+     *  world's own tracers stay. A no-op on a device the probe is
+     *  not subscribed to (e.g. a rebalance-migrated world). */
     void uninstall(target::Wisp &wisp);
 
     /** Add or replace a breakpoint. */
@@ -189,9 +184,6 @@ class WorldProbe
     void onInstruction(const target::Wisp &wisp, mem::Addr pc);
 
     std::size_t maxPendingHits;
-    /** The tracer the device owned before install() chained under
-     *  it; invoked from our hook and restored by uninstall(). */
-    std::function<void(mem::Addr, const isa::Instr &)> chained;
     std::map<std::uint32_t, VirtualBreakpoint> byId;
     /** addr -> breakpoint ids (the tracer's fast path). */
     std::multimap<mem::Addr, std::uint32_t> byAddr;

@@ -38,16 +38,22 @@ WorkStealingPool::runBatch(std::vector<Task> tasks,
         }
         return;
     }
+    // Count before queueing (a worker still draining the last batch
+    // may take a task at once), generation after: a worker woken by
+    // the generation must find the tasks, or it sleeps through them.
     {
         std::lock_guard<std::mutex> lock(batchMtx);
         remaining = tasks.size();
-        ++batchGen;
     }
     for (std::size_t i = 0; i < tasks.size(); ++i) {
         unsigned shard =
             (i < homeShard.size() ? homeShard[i] : 0) % shardCount;
         std::lock_guard<std::mutex> lock(shardQ[shard]->mtx);
         shardQ[shard]->q.push_back(std::move(tasks[i]));
+    }
+    {
+        std::lock_guard<std::mutex> lock(batchMtx);
+        ++batchGen;
     }
     workCv.notify_all();
     std::unique_lock<std::mutex> lock(batchMtx);

@@ -1,13 +1,8 @@
 #include "fleet/world.hh"
 
-#include "isa/isa.hh"
-
 namespace edb::fleet {
 
 namespace {
-
-/** ScheduleLog opcode: force the capacitor to `arg` volts. */
-constexpr std::uint32_t opBrownOut = 1;
 
 /** Fleet worlds always boot on start when pre-charged: a tag given
  *  initial volts above turn-on must execute from tick zero. */
@@ -18,17 +13,6 @@ bootableWisp(target::WispConfig config)
     return config;
 }
 
-mem::NvAuditConfig
-auditConfigFor(const target::Wisp &wisp)
-{
-    mem::NvAuditConfig cfg;
-    cfg.nvBase = target::layout::framBase;
-    cfg.nvSize = target::layout::framSize;
-    cfg.checkpointBase = wisp.config().mcu.checkpointBase;
-    cfg.checkpointSpan = 2 * wisp.config().mcu.checkpointSlotSize;
-    return cfg;
-}
-
 } // namespace
 
 World::World(const isa::Program &program, const WorldConfig &config)
@@ -37,56 +21,25 @@ World::World(const isa::Program &program, const WorldConfig &config)
       wisp_(std::make_unique<target::Wisp>(sim, "wisp", &harvester,
                                            nullptr,
                                            bootableWisp(config.wisp))),
-      player(sim)
+      brownOuts(*wisp_), gadget(*wisp_, config.warDoneWatch)
 {
     wisp_->flash(program);
     if (cfg.withAuditor) {
-        aud = std::make_unique<mem::NvAuditor>(auditConfigFor(*wisp_),
-                                               wisp_->framRegion());
-        wisp_->mcu().setAuditor(aud.get());
-        wisp_->memoryMap().setWriteHook(&mem::NvAuditor::rawWriteHook,
-                                        aud.get());
+        aud = std::make_unique<mem::NvAuditor>(wisp_->makeAuditor());
+        wisp_->attachAuditor(aud.get());
     }
     if (cfg.withEdb)
         edb_ = std::make_unique<edbdbg::EdbBoard>(sim, "edb", *wisp_,
                                                   nullptr);
     for (const fuzz::BrownOut &b : cfg.schedule)
-        schedule.record(b.at, opBrownOut, b.volts);
-    installHooks();
-}
-
-void
-World::installHooks()
-{
-    if (cfg.warDoneWatch != 0) {
-        // The completeness probe: an open WAR record exposed by a
-        // power loss is exactly what the auditor must flag. The
-        // tracer forces per-instruction stepping for this world
-        // only; throughput worlds never install one.
-        wisp_->mcu().setTracer(
-            [this](mem::Addr pc, const isa::Instr &) {
-                if (pc == cfg.warDoneWatch)
-                    gadgetLive = true;
-            });
-    }
-    wisp_->power().addPowerListener([this](bool on) {
-        if (!on) {
-            if (gadgetLive)
-                ++lossAfterGadget;
-            gadgetLive = false;
-        }
-    });
+        brownOuts.add(b.at, b.volts);
 }
 
 void
 World::start()
 {
     wisp_->start();
-    if (!schedule.entries().empty())
-        player.arm(schedule, 0, [this](const sim::ScheduleEntry &e) {
-            if (e.op == opBrownOut)
-                wisp_->power().capacitor().setVoltage(e.arg);
-        });
+    brownOuts.arm();
 }
 
 void
@@ -167,8 +120,7 @@ World::saveTo(sim::SnapshotWriter &w) const
     w.u64(replies);
     w.u64(collided);
     w.u64(attempts);
-    w.boolean(gadgetLive);
-    w.u64(lossAfterGadget);
+    gadget.saveState(w);
 }
 
 bool
@@ -192,51 +144,19 @@ World::adoptFrom(const World &other)
     replies = r.u64();
     collided = r.u64();
     attempts = r.u64();
-    gadgetLive = r.boolean();
-    lossAfterGadget = r.u64();
+    gadget.restoreState(r);
     if (!r.ok())
         return false;
     rearmer.flush();
-    // Re-arm the forced-schedule suffix: entries at or before the
-    // migration tick are already reflected in the restored state.
-    if (!schedule.entries().empty())
-        player.arm(schedule, sim.now(),
-                   [this](const sim::ScheduleEntry &e) {
-                       if (e.op == opBrownOut)
-                           wisp_->power().capacitor().setVoltage(
-                               e.arg);
-                   });
+    brownOuts.arm(sim.now());
     return true;
 }
 
 WorldDigest
 World::digest() const
 {
-    // Architectural digest only: raw event-queue ids are excluded on
-    // purpose, because a snapshot round-trip (migration) relabels
-    // them while leaving the continuation bit-identical.
     sim::SnapshotWriter w;
-    const mcu::Mcu &m = wisp_->mcu();
-    w.u64(m.instrCount());
-    w.u64(m.cycleCount());
-    w.u64(m.rebootCount());
-    w.u64(m.faultCount());
-    w.u64(m.checkpointCount());
-    w.u64(m.restoreCount());
-    w.u64(wisp_->power().bootCount());
-    w.u32(m.pc());
-    w.u8(static_cast<std::uint8_t>(m.state()));
-    w.u32(m.flags().pack());
-    for (unsigned i = 0; i < isa::numRegs; ++i)
-        w.u32(m.reg(i));
-    w.f64(wisp_->power().voltageNoAdvance());
-    w.tick(sim.now());
-    w.rng(sim.rng());
-    const mem::Ram &fram = wisp_->framRegion();
-    w.u32(sim::crc32(fram.data(), fram.size()));
-    const mem::Ram &sram = wisp_->sramRegion();
-    w.u32(sim::crc32(sram.data(), sram.size()));
-    w.u64(wisp_->framRegion().totalWear());
+    target::WispDigest::of(*wisp_).write(w);
     if (aud) {
         w.u64(aud->violationCount());
         w.u64(aud->unsealedRestoreCount());
@@ -244,12 +164,12 @@ World::digest() const
     w.u64(replies);
     w.u64(collided);
     w.u64(attempts);
-    w.u64(lossAfterGadget);
+    w.u64(gadget.losses());
     std::vector<std::uint8_t> image = w.finish();
     WorldDigest d;
     d.crc = sim::crc32(image.data(), image.size());
-    d.instrs = m.instrCount();
-    d.reboots = m.rebootCount();
+    d.instrs = wisp_->mcu().instrCount();
+    d.reboots = wisp_->mcu().rebootCount();
     return d;
 }
 

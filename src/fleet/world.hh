@@ -31,10 +31,9 @@
 #include "fuzz/generator.hh"
 #include "mem/nv_audit.hh"
 #include "rfid/channel.hh"
-#include "sim/replay.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
-#include "target/wisp.hh"
+#include "target/rig.hh"
 
 namespace edb::fleet {
 
@@ -61,7 +60,7 @@ struct WorldConfig
     /** Forced brown-out schedule (auditor sweeps). */
     std::vector<fuzz::BrownOut> schedule;
     /** PC of the WAR gadget's completion label (0 = no watch).
-     *  Installs a tracer, so such worlds run un-superblocked. */
+     *  Subscribes a tracer, so such worlds run un-superblocked. */
     mem::Addr warDoneWatch = 0;
 };
 
@@ -134,20 +133,18 @@ class World
     std::uint64_t collisionsSeen() const { return collided; }
     std::uint64_t attemptsMade() const { return attempts; }
     /** Power losses observed after the WAR gadget completed. */
-    std::uint64_t lossesAfterGadget() const { return lossAfterGadget; }
+    std::uint64_t lossesAfterGadget() const { return gadget.losses(); }
     /// @}
 
   private:
-    void installHooks();
-
     WorldConfig cfg;
     sim::Simulator sim;
     energy::RfHarvester harvester;
     std::unique_ptr<target::Wisp> wisp_;
     std::unique_ptr<mem::NvAuditor> aud;
     std::unique_ptr<edbdbg::EdbBoard> edb_;
-    sim::ScheduleLog schedule;
-    sim::SchedulePlayer player;
+    target::BrownOutSchedule brownOuts;
+    target::GadgetWatch gadget;
 
     sim::Tick epochStart = 0;
     std::uint64_t instrsAtEpochStart = 0;
@@ -156,9 +153,6 @@ class World
     std::uint64_t replies = 0;
     std::uint64_t collided = 0;
     std::uint64_t attempts = 0;
-
-    bool gadgetLive = false;
-    std::uint64_t lossAfterGadget = 0;
 };
 
 } // namespace edb::fleet

@@ -10,18 +10,16 @@
 #include "isa/assembler.hh"
 #include "mem/nv_audit.hh"
 #include "sim/fault.hh"
-#include "sim/replay.hh"
 #include "sim/rng.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot.hh"
-#include "target/wisp.hh"
+#include "target/rig.hh"
 
 namespace edb::fuzz {
 
 namespace {
 
 constexpr sim::Tick pollQuantum = sim::oneMs;
-constexpr std::uint32_t opBrownOut = 1;
 
 /** Thevenin source parameters derived from the case seed: some
  *  worlds sustain the core, others sawtooth naturally on top of the
@@ -40,15 +38,6 @@ sourceParams(std::uint64_t seed)
     p.voc = rng.uniform(2.8, 3.3);
     p.ohms = rng.uniform(400.0, 2500.0);
     return p;
-}
-
-mem::NvAuditConfig
-auditConfigFor(const target::Wisp &wisp)
-{
-    mem::NvAuditConfig cfg;
-    cfg.checkpointBase = wisp.config().mcu.checkpointBase;
-    cfg.checkpointSpan = 2 * wisp.config().mcu.checkpointSlotSize;
-    return cfg;
 }
 
 target::WispConfig
@@ -80,11 +69,9 @@ struct World
         bool withAuditor = false;
         /** false for snapshot-restore legs (no start, no arm). */
         bool startAndArm = true;
-        /** Sealed + interruptible commits (crash-anywhere leg). */
+        /** Sealed + interruptible commits that a fault injector
+         *  tears at a seed-derived word (crash-anywhere leg). */
         bool crashCommit = false;
-        /** NV torn-write fault plan; enabled ⇒ a FaultInjector is
-         *  built and wired into the commit path. */
-        sim::FaultPlan nvPlan = {};
     };
 
     sim::Simulator sim;
@@ -92,8 +79,9 @@ struct World
     target::Wisp wisp;
     std::unique_ptr<mem::NvAuditor> aud;
     std::unique_ptr<sim::FaultInjector> fault;
-    sim::ScheduleLog log;
-    sim::SchedulePlayer player;
+    target::BrownOutSchedule brownOuts;
+    /** Audit-completeness watch (the audit oracle's mutant leg). */
+    std::unique_ptr<target::GadgetWatch> gadget;
 
     /** Coverage probe state (valid while instrumented). */
     mem::Addr lastPc = 0;
@@ -101,15 +89,6 @@ struct World
     std::uint64_t prevCheckpoints = 0;
     std::uint64_t prevRestores = 0;
     std::uint64_t prevFaults = 0;
-    /** Audit-completeness probe: true while the WAR gadget has
-     *  completed in the current power-on interval (its open record
-     *  survives until a loss), and losses observed in that window. */
-    mem::Addr warDonePc = 0;
-    bool gadgetLive = false;
-    std::uint64_t lossAfterGadget = 0;
-    /** Extra per-instruction probe run by the instrumented tracer
-     *  (etap leg: persist-boundary charge sampling). */
-    std::function<void(mem::Addr, const isa::Instr &)> preInstr;
 
     World(const OracleCase &c, const isa::Program &prog,
           const Options &opt)
@@ -118,63 +97,28 @@ struct World
           wisp(sim, "wisp", &src, nullptr,
                worldConfig(c, opt.reference, opt.checkpointing,
                            opt.crashCommit)),
-          player(sim)
+          brownOuts(wisp)
     {
-        if (opt.nvPlan.enabled) {
+        if (opt.crashCommit) {
             fault = std::make_unique<sim::FaultInjector>(
-                sim, "fault", opt.nvPlan);
-            // A forced brown-out models the supply collapsing in the
-            // middle of an NV program pulse: the capacitor is yanked
-            // below the brown-out threshold and the in-flight commit
-            // word tears.
-            fault->armBrownOuts([this] {
-                wisp.power().capacitor().setVoltage(0.5);
-            });
-            mcu::Mcu::NvCommitHooks hooks;
-            hooks.onCommitWord = [this] { fault->onNvCommitWord(); };
-            hooks.onTornWord = [this](std::uint32_t &word) {
-                return fault->onTornWord(word);
-            };
-            wisp.mcu().setNvCommitHooks(hooks);
+                sim, "fault",
+                sim::tornCommitPlan(c.seed ^ 0x63726173ULL)); // "cras"
+            wisp.attachFaults(*fault);
         }
         if (opt.withAuditor) {
-            aud = std::make_unique<mem::NvAuditor>(auditConfigFor(wisp),
-                                                   wisp.framRegion());
-            wisp.mcu().setAuditor(aud.get());
-            wisp.memoryMap().setWriteHook(&mem::NvAuditor::rawWriteHook,
-                                          aud.get());
+            aud = std::make_unique<mem::NvAuditor>(wisp.makeAuditor());
+            wisp.attachAuditor(aud.get());
         }
-        // Passive observer, attached to every leg for symmetry: a
-        // loss while the gadget's record is open is exactly the
-        // window the auditor must flag. (Boot counts cannot be used
-        // here -- they count turn-ons, and the first boot precedes
-        // the gadget rather than following it.)
-        wisp.power().addPowerListener([this](bool on) {
-            if (!on) {
-                if (gadgetLive)
-                    ++lossAfterGadget;
-                gadgetLive = false;
-            }
-        });
         for (const BrownOut &b : c.schedule)
-            log.record(b.at, opBrownOut, b.volts);
+            brownOuts.add(b.at, b.volts);
         wisp.flash(prog);
         if (opt.startAndArm) {
             wisp.start();
-            armSchedule(0);
+            brownOuts.arm();
         }
     }
 
-    void
-    armSchedule(sim::Tick from)
-    {
-        player.arm(log, from, [this](const sim::ScheduleEntry &e) {
-            if (e.op == opBrownOut)
-                wisp.power().capacitor().setVoltage(e.arg);
-        });
-    }
-
-    /** Install the coverage tracer (and the war_done watchpoint). */
+    /** Install the coverage tracer. */
     void
     instrument(Coverage *cov)
     {
@@ -182,13 +126,9 @@ struct World
         prevCheckpoints = wisp.mcu().checkpointCount();
         prevRestores = wisp.mcu().restoreCount();
         prevFaults = wisp.mcu().faultCount();
-        wisp.mcu().setTracer([this, cov](mem::Addr pc,
-                                         const isa::Instr &i) {
+        wisp.mcu().addTracer(this, [this, cov](mem::Addr pc,
+                                               const isa::Instr &i) {
             lastPc = pc;
-            if (preInstr)
-                preInstr(pc, i);
-            if (warDonePc != 0 && pc == warDonePc)
-                gadgetLive = true;
             if (cov == nullptr)
                 return;
             cov->noteExec(i.op);
@@ -274,82 +214,20 @@ struct World
     }
 };
 
-/** Everything architecturally observable at the end of a run. */
-struct Digest
+/** Fails with a per-field diff unless both end states agree. */
+OracleOutcome
+compareEnds(const char *nameA, const World &a, const char *nameB,
+            const World &b)
 {
-    std::uint64_t instrs = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t reboots = 0;
-    std::uint64_t faults = 0;
-    std::uint64_t checkpoints = 0;
-    std::uint64_t restores = 0;
-    std::uint64_t boots = 0;
-    mem::Addr pc = 0;
-    std::uint8_t state = 0;
-    std::uint32_t flags = 0;
-    std::array<std::uint32_t, isa::numRegs> regs{};
-    double volts = 0.0;
-    sim::Tick now = 0;
-    std::uint32_t framCrc = 0;
-    std::uint32_t sramCrc = 0;
-
-    bool operator==(const Digest &) const = default;
-};
-
-Digest
-digestOf(World &w)
-{
-    Digest d;
-    const auto &m = w.wisp.mcu();
-    d.instrs = m.instrCount();
-    d.cycles = m.cycleCount();
-    d.reboots = m.rebootCount();
-    d.faults = m.faultCount();
-    d.checkpoints = m.checkpointCount();
-    d.restores = m.restoreCount();
-    d.boots = w.wisp.power().bootCount();
-    d.pc = m.pc();
-    d.state = static_cast<std::uint8_t>(m.state());
-    d.flags = m.flags().pack();
-    for (unsigned i = 0; i < isa::numRegs; ++i)
-        d.regs[i] = m.reg(i);
-    d.volts = w.wisp.power().voltageNoAdvance();
-    d.now = w.sim.now();
-    const mem::Ram &fram = w.wisp.framRegion();
-    d.framCrc = sim::crc32(fram.data(), fram.size());
-    const mem::Ram &sram = w.wisp.sramRegion();
-    d.sramCrc = sim::crc32(sram.data(), sram.size());
-    return d;
-}
-
-std::string
-digestDiff(const char *nameA, const Digest &a, const char *nameB,
-           const Digest &b)
-{
-    std::ostringstream s;
-    s << nameA << " vs " << nameB << " diverged:";
-    auto field = [&](const char *n, auto va, auto vb) {
-        if (va != vb)
-            s << " " << n << "=" << va << "/" << vb;
-    };
-    field("instrs", a.instrs, b.instrs);
-    field("cycles", a.cycles, b.cycles);
-    field("reboots", a.reboots, b.reboots);
-    field("faults", a.faults, b.faults);
-    field("checkpoints", a.checkpoints, b.checkpoints);
-    field("restores", a.restores, b.restores);
-    field("boots", a.boots, b.boots);
-    field("pc", a.pc, b.pc);
-    field("state", unsigned(a.state), unsigned(b.state));
-    field("flags", a.flags, b.flags);
-    for (unsigned i = 0; i < isa::numRegs; ++i)
-        if (a.regs[i] != b.regs[i])
-            s << " r" << i << "=" << a.regs[i] << "/" << b.regs[i];
-    field("volts", a.volts, b.volts);
-    field("now", a.now, b.now);
-    field("framCrc", a.framCrc, b.framCrc);
-    field("sramCrc", a.sramCrc, b.sramCrc);
-    return s.str();
+    const auto da = target::WispDigest::of(a.wisp);
+    const auto db = target::WispDigest::of(b.wisp);
+    OracleOutcome out;
+    if (!(da == db)) {
+        out.failed = true;
+        out.detail = std::string(nameA) + " vs " + nameB +
+                     " diverged:" + da.diff(db);
+    }
+    return out;
 }
 
 OracleOutcome
@@ -368,14 +246,7 @@ runFastRef(const OracleCase &c, Coverage *cov)
     ref.instrument(nullptr); // symmetric tracer attachment
     ref.runTo(c.horizon, nullptr);
 
-    Digest a = digestOf(fast);
-    Digest b = digestOf(ref);
-    OracleOutcome out;
-    if (!(a == b)) {
-        out.failed = true;
-        out.detail = digestDiff("fast", a, "reference", b);
-    }
-    return out;
+    return compareEnds("fast", fast, "reference", ref);
 }
 
 OracleOutcome
@@ -393,7 +264,6 @@ runSnapshot(const OracleCase &c, Coverage *cov)
     std::vector<std::uint8_t> image = writer.finish();
     sim::Tick snapTick = w.sim.now();
     w.runTo(c.horizon, cov);
-    Digest orig = digestOf(w);
 
     World::Options ropt = opt;
     ropt.startAndArm = false;
@@ -413,17 +283,10 @@ runSnapshot(const OracleCase &c, Coverage *cov)
         return out;
     }
     rearmer.flush();
-    r.armSchedule(snapTick);
+    r.brownOuts.arm(snapTick);
     r.instrument(nullptr);
     r.runTo(c.horizon, nullptr);
-    Digest resumed = digestOf(r);
-
-    if (!(orig == resumed)) {
-        out.failed = true;
-        out.detail = digestDiff("uninterrupted", orig, "resumed",
-                                resumed);
-    }
-    return out;
+    return compareEnds("uninterrupted", w, "resumed", r);
 }
 
 OracleOutcome
@@ -441,14 +304,7 @@ runReplay(const OracleCase &c, Coverage *cov)
     b.instrument(nullptr);
     b.runTo(c.horizon, nullptr);
 
-    Digest da = digestOf(a);
-    Digest db = digestOf(b);
-    OracleOutcome out;
-    if (!(da == db)) {
-        out.failed = true;
-        out.detail = digestDiff("run1", da, "run2", db);
-    }
-    return out;
+    return compareEnds("run1", a, "run2", b);
 }
 
 OracleOutcome
@@ -492,10 +348,11 @@ runAudit(const OracleCase &c, Coverage *cov)
     opt.checkpointing = false;
     opt.withAuditor = true;
     World w(c, prog, opt);
-    w.warDonePc = prog.symbol("war_done");
+    w.gadget = std::make_unique<target::GadgetWatch>(
+        w.wisp, prog.symbol("war_done"));
     w.instrument(cov);
     w.runTo(c.horizon, cov);
-    if (w.lossAfterGadget == 0) {
+    if (w.gadget->losses() == 0) {
         out.inconclusive = true;
         out.detail = "no power loss after the WAR gadget ran";
         return out;
@@ -504,7 +361,7 @@ runAudit(const OracleCase &c, Coverage *cov)
         out.failed = true;
         std::ostringstream s;
         s << "auditor missed the seeded WAR hazard ("
-          << w.lossAfterGadget << " losses after war_done)";
+          << w.gadget->losses() << " losses after war_done)";
         out.detail = s.str();
     }
     return out;
@@ -532,14 +389,7 @@ runSuperblock(const OracleCase &c, Coverage *cov)
     ref.instrument(cov);
     ref.runTo(c.horizon, cov);
 
-    Digest a = digestOf(sb);
-    Digest b = digestOf(ref);
-    OracleOutcome out;
-    if (!(a == b)) {
-        out.failed = true;
-        out.detail = digestDiff("superblock", a, "reference", b);
-    }
-    return out;
+    return compareEnds("superblock", sb, "reference", ref);
 }
 
 OracleOutcome
@@ -557,18 +407,9 @@ runCrashAnywhere(const OracleCase &c, Coverage *cov)
     opt.checkpointing = true;
     opt.withAuditor = true;
     opt.crashCommit = true;
-    opt.nvPlan.enabled = true;
-    opt.nvPlan.seed = c.seed ^ 0x63726173ULL; // "cras"
-    {
-        // Seed-derived tear point: any word of any commit burst. The
-        // range comfortably covers a full frame (23 header/seal words
-        // + the stack image), so later commits get hit too.
-        sim::Rng rng(opt.nvPlan.seed);
-        opt.nvPlan.nvTearAtCommitWord = rng.uniformInt(1, 120);
-        opt.nvPlan.nvTornCorruptProb = 0.5;
-    }
 
     World w(c, prog, opt);
+    const std::uint64_t tearWord = w.fault->plan().nvTearAtCommitWord;
     w.instrument(cov);
     w.runTo(c.horizon, cov);
 
@@ -578,7 +419,7 @@ runCrashAnywhere(const OracleCase &c, Coverage *cov)
         s << "recovery restored an unsealed frame ("
           << w.aud->unsealedRestoreCount()
           << " hybrid restores; tear at commit word "
-          << opt.nvPlan.nvTearAtCommitWord << ", "
+          << tearWord << ", "
           << w.fault->stats().nvTears << " tears, "
           << w.wisp.mcu().restoreCount() << " restores)";
         out.detail = s.str();
@@ -588,7 +429,7 @@ runCrashAnywhere(const OracleCase &c, Coverage *cov)
         out.inconclusive = true;
         std::ostringstream s;
         s << "no tear landed (tear word "
-          << opt.nvPlan.nvTearAtCommitWord << ", "
+          << tearWord << ", "
           << w.fault->stats().nvCommitWords
           << " commit words observed)";
         out.detail = s.str();
@@ -677,7 +518,7 @@ runEtap(const OracleCase &c, Coverage *cov)
             window_open = false;
         }
     });
-    w.preInstr = [&](mem::Addr, const isa::Instr &i) {
+    auto persistProbe = [&](mem::Addr, const isa::Instr &i) {
         std::uint64_t ck = w.wisp.mcu().checkpointCount();
         if (window_open && ck != last_ck)
             record(charge_out() - window_start);
@@ -692,6 +533,7 @@ runEtap(const OracleCase &c, Coverage *cov)
                 record(charge_out() - window_start);
         }
     };
+    w.wisp.mcu().addTracer(&persistProbe, persistProbe);
     w.instrument(cov);
     w.runTo(c.horizon, cov);
 

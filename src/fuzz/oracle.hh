@@ -1,6 +1,6 @@
 /**
  * @file
- * The six differential oracles the fuzzer checks every case against.
+ * The seven differential oracles the fuzzer checks every case against.
  *
  * An `OracleCase` is self-contained and textual — assembly listings
  * plus the world knobs and the forced-brown-out schedule — so a case
@@ -8,9 +8,11 @@
  * byte-for-byte later (see fuzz/corpus.hh). The oracles:
  *
  *  - FastRef: the full fast-path kernel vs the all-flags-off
- *    reference path must agree on every architectural statistic, the
- *    final register file, both memory images (CRC) and the exact
- *    capacitor voltage (DESIGN.md §7's bit-identity contract).
+ *    reference path must agree on every field of
+ *    `target::WispDigest` — architectural statistics, the final
+ *    register file, both memory images (CRC), the exact capacitor
+ *    voltage, the RNG state and FRAM wear (DESIGN.md §7's
+ *    bit-identity contract).
  *  - Snapshot: saving the world mid-run and resuming it in a fresh
  *    simulator must reach the same end state as the uninterrupted
  *    run (§8.1's resume-equivalence contract).

@@ -6,6 +6,7 @@
 #include "mem/nv_audit.hh"
 #include "mem/nv_region.hh"
 #include "runtime/checkpoint.hh"
+#include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
@@ -263,6 +264,20 @@ Mcu::invalidateCheckpoints()
 }
 
 void
+Mcu::addTracer(const void *owner, Tracer t)
+{
+    removeTracer(owner);
+    tracers_.emplace_back(owner, std::move(t));
+}
+
+void
+Mcu::removeTracer(const void *owner)
+{
+    std::erase_if(tracers_,
+                  [owner](const auto &sub) { return sub.first == owner; });
+}
+
+void
 Mcu::setNvRegion(mem::NvRegion *region)
 {
     nv_ = region;
@@ -355,12 +370,12 @@ Mcu::runSlice()
     } else {
         // Segment-amortized path: the next-event time can only move
         // when an event is scheduled or cancelled, and during a
-        // slice only MMIO-touching instructions, the tracer, or a
+        // slice only MMIO-touching instructions, a tracer, or a
         // power transition (which ends the slice anyway) can do
         // that. So read it once per segment and re-read only after
         // such an instruction. Instruction-for-instruction identical
         // to the reference path.
-        const bool traced = static_cast<bool>(tracer);
+        const bool traced = !tracers_.empty();
         // The superblock tier needs every per-instruction observer
         // quiet: a tracer or auditor must see each instruction, so
         // their presence drops execution to the step() path.
@@ -526,8 +541,8 @@ Mcu::step(sim::Tick &t)
     cursor.advance(t + dt);
     cycles += cyc;
     ++instrs;
-    if (tracer)
-        tracer(pc_, instr);
+    for (const auto &[owner, trace] : tracers_)
+        trace(pc_, instr);
     if (audit_)
         auditExec(instr);
     execute(instr, t + dt);
@@ -1425,8 +1440,8 @@ Mcu::commitInterruptible(mem::Addr base, std::uint32_t sp,
     auto commitWord = [&](mem::Addr addr, std::uint32_t value) {
         if (torn || state_ != McuState::Running)
             return false;
-        if (nvHooks_.onCommitWord)
-            nvHooks_.onCommitWord();
+        if (nvFault_)
+            nvFault_->onNvCommitWord();
         const sim::Tick at = cursor.now() + word_dt;
         power.advanceTo(at);
         cursor.advance(at);
@@ -1435,7 +1450,7 @@ Mcu::commitInterruptible(mem::Addr base, std::uint32_t sp,
         if (state_ != McuState::Running) {
             torn = true;
             std::uint32_t v = value;
-            if (nvHooks_.onTornWord && nvHooks_.onTornWord(v))
+            if (nvFault_ && nvFault_->onTornWord(v))
                 mem_.write32(addr, v);
             return false;
         }

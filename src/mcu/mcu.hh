@@ -33,6 +33,7 @@ class NvRegion;
 } // namespace edb::mem
 
 namespace edb::sim {
+class FaultInjector;
 class SnapshotWriter;
 class SnapshotReader;
 class EventRearmer;
@@ -225,33 +226,24 @@ class Mcu : public sim::Component
     void setResetHook(ResetHook hook) { resetHook = std::move(hook); }
 
     /**
-     * Optional instruction tracer (tests, debugging). `owner` tags
-     * the installer so layered hooks (e.g. the debug server's world
-     * probes, which chain under a world's own tracer) can tell
-     * whether the installed hook is already theirs.
+     * Instruction tracers: a subscriber list keyed by `owner`. Every
+     * tracer sees every retired instruction, so while the list is
+     * non-empty the core steps instruction by instruction (no
+     * superblocks). `addTracer` replaces `owner`'s earlier tracer, so
+     * re-subscribing never double-fires; `removeTracer` is a no-op
+     * for an owner not subscribed. Neither may be called from inside
+     * a tracer.
      */
-    void
-    setTracer(Tracer t, const void *owner = nullptr)
-    {
-        tracer = std::move(t);
-        tracerOwner_ = owner;
-    }
-
-    /** Tag passed to the setTracer call that installed the current
-     *  hook (nullptr for untagged installs and fresh cores). */
-    const void *tracerOwner() const { return tracerOwner_; }
-
-    /** The currently installed tracer (empty when none). */
-    const Tracer &tracerHook() const { return tracer; }
+    void addTracer(const void *owner, Tracer t);
+    void removeTracer(const void *owner);
 
     /**
-     * Attach the NV consistency auditor (nullptr detaches). The core
-     * drives its register-taint machine and lifecycle hooks; the
-     * owner must also install `mem::NvAuditor::rawWriteHook` on the
-     * memory map so erasing writes are seen regardless of source.
+     * The NV consistency auditor driven by this core (nullptr
+     * detaches); attach through `target::Wisp::attachAuditor`, which
+     * also routes the memory map's writes to it. Like a tracer, an
+     * attached auditor forces per-instruction stepping.
      */
     void setAuditor(mem::NvAuditor *auditor) { audit_ = auditor; }
-    mem::NvAuditor *auditor() const { return audit_; }
 
     /**
      * Attach the NV region hosting the checkpoint slots (nullptr
@@ -264,21 +256,12 @@ class Mcu : public sim::Component
     mem::NvRegion *nvRegion() const { return nv_; }
 
     /**
-     * Fault-injection hooks of the interruptible commit path.
-     * `onCommitWord` fires before each commit word's energy drain
-     * (wire to FaultInjector::onNvCommitWord); `onTornWord` decides
-     * the disposition of the in-flight word when the burst tears
-     * (wire to FaultInjector::onTornWord).
+     * Fault injector of the interruptible commit path (nullptr
+     * detaches), attached by `target::Wisp::attachFaults`: it sees
+     * each commit word before the word's energy drain and decides
+     * the fate of the in-flight word when the burst tears.
      */
-    struct NvCommitHooks
-    {
-        std::function<void()> onCommitWord;
-        std::function<bool(std::uint32_t &)> onTornWord;
-    };
-    void setNvCommitHooks(NvCommitHooks hooks)
-    {
-        nvHooks_ = std::move(hooks);
-    }
+    void setNvFaults(sim::FaultInjector *fault) { nvFault_ = fault; }
 
     /** Commits that ended torn (power lost mid-burst). */
     std::uint64_t tornCommitCount() const { return tornCommits_; }
@@ -557,7 +540,7 @@ class Mcu : public sim::Component
 
     mem::NvAuditor *audit_ = nullptr;
     mem::NvRegion *nv_ = nullptr;
-    NvCommitHooks nvHooks_;
+    sim::FaultInjector *nvFault_ = nullptr;
     /** Ticks spent inside the current interruptible commit, folded
      *  back into the slice clock by step() after execute(). */
     sim::Tick commitExtraTicks_ = 0;
@@ -598,8 +581,7 @@ class Mcu : public sim::Component
     SuperblockStats sbStats_;
 
     ResetHook resetHook;
-    Tracer tracer;
-    const void *tracerOwner_ = nullptr;
+    std::vector<std::pair<const void *, Tracer>> tracers_;
 
     std::uint64_t cycles = 0;
     std::uint64_t instrs = 0;

@@ -257,11 +257,13 @@ class MemoryMap
     /**
      * Observer of every *routed* write (program stores, checkpoint
      * unit, debugger pokes), called after the write commits with the
-     * address and width in bytes. One observer at most; used by the
-     * non-volatile consistency auditor. A plain function pointer +
-     * context keeps the disabled case to one null check on the store
-     * path. Writes that bypass the map (Ram::load, Ram::powerLoss)
-     * are NOT observed, mirroring the write watch above.
+     * address and width in bytes (a null `fn` clears it). One
+     * observer at most: the non-volatile consistency auditor,
+     * installed by `target::Wisp::attachAuditor`. A plain function
+     * pointer + context keeps the disabled case to one null check on
+     * the store path. Writes that bypass the map (Ram::load,
+     * Ram::powerLoss) are NOT observed, mirroring the write watch
+     * above.
      */
     using WriteHookFn = void (*)(void *ctx, Addr addr, unsigned width);
     void
@@ -270,7 +272,6 @@ class MemoryMap
         writeHookFn = fn;
         writeHookCtx = ctx;
     }
-    void clearWriteHook() { writeHookFn = nullptr; }
 
     /**
      * Sticky flag: set whenever a routed access lands in an MMIO

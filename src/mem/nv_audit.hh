@@ -93,11 +93,9 @@ struct NvFinding
 std::string nvFindingText(const NvFinding &finding);
 
 /**
- * The auditor. Wiring is done by the owner (test, bench or
- * `edbdbg::EdbBoard::attachAuditor`): the MCU drives the taint
- * machine and lifecycle hooks via `Mcu::setAuditor`, and the memory
- * map reports every routed write through `rawWriteHook` +
- * `MemoryMap::setWriteHook`.
+ * The auditor. `target::Wisp::makeAuditor` builds one for a device
+ * and `target::Wisp::attachAuditor` wires it to the interpreter and
+ * the memory map in one call.
  */
 class NvAuditor
 {
@@ -147,7 +145,8 @@ class NvAuditor
     void reset();
     /// @}
 
-    /** MemoryMap write-hook trampoline (`ctx` is the NvAuditor). */
+    /** MemoryMap write-hook trampoline (`ctx` is the NvAuditor);
+     *  installed by `target::Wisp::attachAuditor`. */
     static void rawWriteHook(void *ctx, Addr addr, unsigned width);
 
     /// @name Findings

@@ -57,6 +57,18 @@ ClientWireFaults::onFrame(const std::vector<std::uint8_t> &frame)
     return out;
 }
 
+FaultPlan
+tornCommitPlan(std::uint64_t seed)
+{
+    FaultPlan plan;
+    plan.seed = seed;
+    Rng rng(seed);
+    plan.nvTearAtCommitWord =
+        static_cast<std::uint64_t>(rng.uniformInt(1, 120));
+    plan.nvTornCorruptProb = 0.5;
+    return plan;
+}
+
 FaultInjector::FaultInjector(Simulator &simulator,
                              std::string component_name,
                              FaultPlan fault_plan)

@@ -89,6 +89,14 @@ struct FaultPlan
 };
 
 /**
+ * Torn-commit plan: a brown-out at a `seed`-derived NV commit word
+ * in [1, 120] — any word of any commit burst (a frame is 23
+ * header/seal words plus the stack image, so later commits get hit
+ * too) — with the in-flight word corrupted half the time.
+ */
+FaultPlan tornCommitPlan(std::uint64_t seed);
+
+/**
  * Client-side wire faults for the debug server (DESIGN.md §13): how
  * an adversarial or unlucky frontend mangles the frames it puts on
  * its connection. Applied per *frame* (the unit a JSON-RPC client

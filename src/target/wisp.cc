@@ -1,6 +1,7 @@
 #include "target/wisp.hh"
 
 #include "rfid/channel.hh"
+#include "sim/fault.hh"
 #include "sim/snapshot.hh"
 
 namespace edb::target {
@@ -123,6 +124,30 @@ void
 Wisp::start()
 {
     power_.start();
+}
+
+mem::NvAuditor
+Wisp::makeAuditor()
+{
+    mem::NvAuditConfig audit;
+    audit.checkpointBase = cfg.mcu.checkpointBase;
+    audit.checkpointSpan = 2 * cfg.mcu.checkpointSlotSize;
+    return mem::NvAuditor(audit, fram);
+}
+
+void
+Wisp::attachAuditor(mem::NvAuditor *auditor)
+{
+    core.setAuditor(auditor);
+    map.setWriteHook(auditor ? &mem::NvAuditor::rawWriteHook : nullptr,
+                     auditor);
+}
+
+void
+Wisp::attachFaults(sim::FaultInjector &fault)
+{
+    fault.armBrownOuts([this] { power_.capacitor().setVoltage(0.5); });
+    core.setNvFaults(&fault);
 }
 
 void

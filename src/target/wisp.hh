@@ -34,6 +34,7 @@
 #include "mcu/mmio_map.hh"
 #include "mcu/uart.hh"
 #include "mem/memory.hh"
+#include "mem/nv_audit.hh"
 #include "mem/nv_region.hh"
 #include "rfid/frontend.hh"
 #include "sensors/accelerometer.hh"
@@ -42,6 +43,10 @@
 
 namespace edb::rfid {
 class RfChannel;
+}
+
+namespace edb::sim {
+class FaultInjector;
 }
 
 namespace edb::target {
@@ -133,6 +138,23 @@ class Wisp : public sim::Component
     sensors::Accelerometer &accelerometer() { return accel_; }
     /** RF front end; nullptr when built without an air interface. */
     rfid::RfFrontend *rf() { return rf_.get(); }
+    /// @}
+
+    /// @name World attachments
+    /// One attach point per observer or fault source (tracers:
+    /// `mcu().addTracer`; forced brown-outs: `BrownOutSchedule`).
+    /// @{
+    /** A fresh, unattached NV auditor over FRAM minus the checkpoint
+     *  slots (the recovery protocol, not application data). */
+    mem::NvAuditor makeAuditor();
+    /** Attach `auditor` (nullptr detaches) to the core's taint
+     *  machine and to every routed write of the memory map, so
+     *  erasing writes are seen whatever their source. Caller-owned. */
+    void attachAuditor(mem::NvAuditor *auditor);
+    /** Wire `fault` in: its forced brown-outs yank the capacitor to
+     *  0.5 V, and it sees every interruptible-commit word and decides
+     *  the fate of a torn one. Caller-owned. */
+    void attachFaults(sim::FaultInjector &fault);
     /// @}
 
     /** Core lifecycle state. */

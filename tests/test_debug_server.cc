@@ -201,42 +201,43 @@ TEST(VBreakCondition, NearOverflowAddressesEvaluateToZero)
 }
 
 // ---------------------------------------------------------------------
-// Probe tracer chaining
+// Probe tracers beside world-owned tracers
 
 TEST(WorldProbe, ChainsUnderAndRestoresWorldOwnedTracer)
 {
     fleet::Fleet fleet(tinyFleet());
     target::Wisp &wisp = fleet.world(0).wisp();
+    const mem::Addr fill = fleet.worldProgram(0).symbol("fill");
 
     // Stand-in for a world-owned tracer (the WAR-gadget watch on
-    // auditor-completeness worlds).
-    int worldHookCalls = 0;
-    wisp.mcu().setTracer(
-        [&worldHookCalls](mem::Addr, const isa::Instr &) {
-            ++worldHookCalls;
-        });
+    // auditor-completeness worlds): counts visits to the loop head.
+    std::uint64_t worldVisits = 0;
+    wisp.mcu().addTracer(&worldVisits,
+                         [&](mem::Addr pc, const isa::Instr &) {
+                             if (pc == fill)
+                                 ++worldVisits;
+                         });
 
     edbdbg::WorldProbe probe;
     edbdbg::VirtualBreakpoint bp;
     bp.id = 1;
     bp.sessionId = 1;
-    bp.addr = 0x9000;
+    bp.addr = fill;
     probe.put(bp);
     probe.install(wisp);
-    // Reinstall on the same core is a no-op — no self-chaining.
+    // Re-subscribing on the same core replaces the probe's entry.
     probe.install(wisp);
 
-    const isa::Instr nop;
-    wisp.mcu().tracerHook()(0x9000, nop);
-    EXPECT_EQ(worldHookCalls, 1); // world's own hook still fires
-    EXPECT_EQ(probe.evals(), 1u); // exactly once — not chained twice
-    EXPECT_EQ(probe.drainHits().size(), 1u);
+    fleet.runEpochs(4);
+    ASSERT_GT(worldVisits, 0u); // world's own tracer still fires
+    EXPECT_EQ(probe.evals(), worldVisits); // once per visit, not twice
+    EXPECT_FALSE(probe.drainHits().empty());
 
     probe.uninstall(wisp);
-    ASSERT_TRUE(static_cast<bool>(wisp.mcu().tracerHook()));
-    wisp.mcu().tracerHook()(0x9000, nop);
-    EXPECT_EQ(worldHookCalls, 2); // restored, not cleared
-    EXPECT_EQ(probe.evals(), 1u); // probe detached
+    const std::uint64_t visitsBefore = worldVisits;
+    fleet.runEpochs(4);
+    EXPECT_GT(worldVisits, visitsBefore); // kept, not cleared
+    EXPECT_EQ(probe.evals(), visitsBefore); // probe detached
 }
 
 TEST(VBreakCondition, VcapExactlyAtThreshold)

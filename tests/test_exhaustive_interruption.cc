@@ -76,7 +76,8 @@ cutAfterInstruction(std::uint64_t k)
     bool cut_done = false;
     unsigned loop_tops_after_cut = 0;
     bool invariant_ok_at_tops = true;
-    wisp.mcu().setTracer([&](mem::Addr pc, const isa::Instr &) {
+    wisp.mcu().addTracer(&executed, [&](mem::Addr pc,
+                                        const isa::Instr &) {
         if (!cut_done) {
             if (++executed == k) {
                 // Drop Vcap below brown-out: the k-th instruction

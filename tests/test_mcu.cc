@@ -542,7 +542,7 @@ TEST(McuExec, InstructionTracerObservesStream)
 {
     McuRig rig;
     std::vector<isa::Opcode> seen;
-    rig.wisp.mcu().setTracer(
+    rig.wisp.mcu().addTracer(&seen,
         [&seen](mem::Addr, const isa::Instr &instr) {
             seen.push_back(instr.op);
         });
@@ -556,6 +556,65 @@ main:
     EXPECT_EQ(seen[0], isa::Opcode::Li);
     EXPECT_EQ(seen[1], isa::Opcode::Nop);
     EXPECT_EQ(seen[2], isa::Opcode::Halt);
+}
+
+/** The superblock-hot loop of Superblock.HotLoopRetiresInsideBlocks
+ *  (test_fastpath.cc): untraced, most of it retires inside blocks. */
+constexpr const char *hotLoop = R"(
+main:
+    li   r1, 0
+    li   r2, 2000
+loop:
+    addi r1, r1, 1
+    add  r3, r3, r1
+    cmp  r1, r2
+    bne  loop
+    halt
+)";
+
+/** Any subscribed tracer forces per-instruction stepping, and every
+ *  subscriber sees every retired instruction. */
+TEST(McuExec, EveryTracerSeesEveryInstruction)
+{
+    McuRig untraced;
+    ASSERT_GT(untraced.run(hotLoop).superblockStats().blockInstrs, 0u);
+
+    McuRig rig;
+    std::uint64_t first = 0, second = 0;
+    rig.wisp.mcu().addTracer(
+        &first, [&first](mem::Addr, const isa::Instr &) { ++first; });
+    rig.wisp.mcu().addTracer(
+        &second, [&second](mem::Addr, const isa::Instr &) { ++second; });
+    auto &mcu = rig.run(hotLoop);
+    ASSERT_EQ(mcu.state(), mcu::McuState::Halted);
+    EXPECT_EQ(first, mcu.instrCount());
+    EXPECT_EQ(second, mcu.instrCount());
+    EXPECT_EQ(mcu.superblockStats().blockInstrs, 0u);
+}
+
+TEST(McuExec, RemovingOneTracerLeavesTheOtherComplete)
+{
+    McuRig rig;
+    std::uint64_t dropped = 0, kept = 0;
+    auto &mcu = rig.wisp.mcu();
+    mcu.addTracer(&dropped,
+                  [&dropped](mem::Addr, const isa::Instr &) { ++dropped; });
+    mcu.addTracer(&kept, [&kept](mem::Addr, const isa::Instr &) { ++kept; });
+    rig.wisp.flash(isa::assemble(".org 0x4000\n.entry main\n" +
+                                 std::string(hotLoop)));
+    rig.wisp.start();
+    while (dropped < 1000 && rig.sim.now() < 500 * sim::oneMs)
+        rig.sim.runFor(10 * sim::oneUs);
+    ASSERT_EQ(mcu.state(), mcu::McuState::Running);
+    mcu.removeTracer(&dropped);
+    mcu.removeTracer(&dropped); // unknown owner: a no-op
+    const std::uint64_t droppedAtRemoval = dropped;
+    rig.sim.runFor(500 * sim::oneMs);
+    ASSERT_EQ(mcu.state(), mcu::McuState::Halted);
+    EXPECT_EQ(dropped, droppedAtRemoval);
+    EXPECT_LT(dropped, mcu.instrCount());
+    EXPECT_EQ(kept, mcu.instrCount());
+    EXPECT_EQ(mcu.superblockStats().blockInstrs, 0u);
 }
 
 } // namespace

@@ -25,24 +25,6 @@ using namespace edb::mem;
 
 namespace {
 
-NvAuditConfig
-wispAuditConfig(const target::Wisp &wisp)
-{
-    NvAuditConfig cfg;
-    cfg.nvBase = 0;
-    cfg.nvSize = 0; // whole region
-    cfg.checkpointBase = wisp.config().mcu.checkpointBase;
-    cfg.checkpointSpan = 2 * wisp.config().mcu.checkpointSlotSize;
-    return cfg;
-}
-
-void
-attachAuditor(target::Wisp &wisp, NvAuditor &audit)
-{
-    wisp.mcu().setAuditor(&audit);
-    wisp.memoryMap().setWriteHook(&NvAuditor::rawWriteHook, &audit);
-}
-
 // ---------------------------------------------------------------
 // Taint machine in isolation.
 // ---------------------------------------------------------------
@@ -217,8 +199,8 @@ TEST(NvAuditIntegration, LinkedListBugIsFlagged)
     sim::Simulator simulator(1);
     energy::RfHarvester rf(30.0, 1.0);
     target::Wisp wisp(simulator, "wisp", &rf);
-    NvAuditor audit(wispAuditConfig(wisp), wisp.framRegion());
-    attachAuditor(wisp, audit);
+    NvAuditor audit = wisp.makeAuditor();
+    wisp.attachAuditor(&audit);
     wisp.flash(apps::buildLinkedListApp());
     wisp.start();
     simulator.runFor(10 * sim::oneSec);
@@ -241,8 +223,8 @@ TEST(NvAuditIntegration, QuickstartCounterIsClean)
     sim::Simulator simulator(2024);
     energy::RfHarvester rf(30.0, 1.0);
     target::Wisp wisp(simulator, "wisp", &rf);
-    NvAuditor audit(wispAuditConfig(wisp), wisp.framRegion());
-    attachAuditor(wisp, audit);
+    NvAuditor audit = wisp.makeAuditor();
+    wisp.attachAuditor(&audit);
     auto program = isa::assemble(runtime::programHeader() + R"(
 .equ COUNTER, 0x5000
 main:
@@ -268,8 +250,8 @@ TEST(NvAuditIntegration, ActivityAppIsClean)
     sim::Simulator simulator(7);
     energy::RfHarvester rf(30.0, 1.0);
     target::Wisp wisp(simulator, "wisp", &rf);
-    NvAuditor audit(wispAuditConfig(wisp), wisp.framRegion());
-    attachAuditor(wisp, audit);
+    NvAuditor audit = wisp.makeAuditor();
+    wisp.attachAuditor(&audit);
     wisp.flash(apps::buildActivityApp());
     wisp.start();
     simulator.runFor(5 * sim::oneSec);
@@ -287,8 +269,8 @@ TEST(NvAuditIntegration, CheckpointedLinkedListStillHasWindows)
     target::WispConfig cfg;
     cfg.mcu.checkpointingEnabled = true;
     target::Wisp wisp(simulator, "wisp", &rf, nullptr, cfg);
-    NvAuditor audit(wispAuditConfig(wisp), wisp.framRegion());
-    attachAuditor(wisp, audit);
+    NvAuditor audit = wisp.makeAuditor();
+    wisp.attachAuditor(&audit);
     apps::LinkedListOptions options;
     options.withCheckpoint = true;
     wisp.flash(apps::buildLinkedListApp(options));
@@ -338,7 +320,7 @@ TEST(NvAuditBoard, FindingsOpenAConsistencySession)
     energy::RfHarvester rf(30.0, 1.0);
     target::Wisp wisp(simulator, "wisp", &rf);
     edbdbg::EdbBoard edb(simulator, "edb", wisp);
-    NvAuditor audit(wispAuditConfig(wisp), wisp.framRegion());
+    NvAuditor audit = wisp.makeAuditor();
     edb.attachAuditor(&audit);
     EXPECT_EQ(edb.auditor(), &audit);
     wisp.flash(apps::buildLinkedListApp());
@@ -364,7 +346,7 @@ TEST(NvAuditBoard, DetachRestoresQuietOperation)
     energy::RfHarvester rf(30.0, 1.0);
     target::Wisp wisp(simulator, "wisp", &rf);
     edbdbg::EdbBoard edb(simulator, "edb", wisp);
-    NvAuditor audit(wispAuditConfig(wisp), wisp.framRegion());
+    NvAuditor audit = wisp.makeAuditor();
     edb.attachAuditor(&audit);
     edb.attachAuditor(nullptr);
     EXPECT_EQ(edb.auditor(), nullptr);

@@ -209,7 +209,7 @@ __spin:
 )"));
     // Cut power mid-way through the *second* chkpt.
     int chkpts_seen = 0;
-    wisp.mcu().setTracer(
+    wisp.mcu().addTracer(&chkpts_seen,
         [&](mem::Addr, const isa::Instr &instr) {
             if (instr.op == isa::Opcode::Chkpt &&
                 ++chkpts_seen == 2) {
