@@ -819,245 +819,121 @@ EdbBoard::sessionResume()
     waitPassive(2 * sim::oneSec);
 }
 
+template <class Ar>
 void
-EdbBoard::saveState(sim::SnapshotWriter &w) const
+EdbBoard::fields(Ar &a, bool &chargerActive)
 {
-    w.section("edbboard");
-    // Supervision-parameter fingerprint. A restore verifies these
-    // against its own config and rejects the snapshot on mismatch:
-    // retry budgets and timeouts must never be silently swapped
-    // under a mid-episode state machine.
-    w.tick(cfg.energySamplePeriod);
-    w.tick(cfg.reqLatency);
-    w.tick(cfg.linkProbeTimeout);
-    w.u32(cfg.linkProbeMax);
-    w.u32(cfg.guardProbeMax);
-    w.u32(cfg.ackRetryMax);
-    w.u32(cfg.readRetryMax);
-    w.u32(cfg.writeRetryMax);
-    w.u32(cfg.resumeRetryMax);
-    w.u32(cfg.readChunk);
-    w.tick(cfg.interByteTimeout);
+    a.section("edbboard");
+    // Supervision-parameter fingerprint. A restore rejects a snapshot
+    // whose parameters differ from this board's config: retry
+    // budgets and timeouts must never be silently swapped under a
+    // mid-episode state machine.
+    a.expect(cfg.energySamplePeriod);
+    a.expect(cfg.reqLatency);
+    a.expect(cfg.linkProbeTimeout);
+    a.expect(cfg.linkProbeMax);
+    a.expect(cfg.guardProbeMax);
+    a.expect(cfg.ackRetryMax);
+    a.expect(cfg.readRetryMax);
+    a.expect(cfg.writeRetryMax);
+    a.expect(cfg.resumeRetryMax);
+    a.expect(static_cast<std::uint32_t>(cfg.readChunk));
+    a.expect(cfg.interByteTimeout);
 
     // Episode state machine.
-    w.u8(static_cast<std::uint8_t>(mode));
-    w.u8(static_cast<std::uint8_t>(pendingIrqReason));
-    w.f64(savedVolts);
-    w.f64(restoredVolts);
-    w.f64(lastSavedTrue);
-    w.f64(lastRestoredTrue);
-    w.f64(lastVcapVolts);
-    w.boolean(reqHigh);
-    w.boolean(tether.enabled());
-    w.boolean(restoreAckAfter);
-    w.boolean(charger.active());
+    a.u8(mode);
+    a.u8(pendingIrqReason);
+    a.f64(savedVolts);
+    a.f64(restoredVolts);
+    a.f64(lastSavedTrue);
+    a.f64(lastRestoredTrue);
+    a.f64(lastVcapVolts);
+    a.boolean(reqHigh);
+    a.boolean(sim::via(tether.enabled(),
+                       [this](bool on) { tether.setEnabled(on); }));
+    a.boolean(restoreAckAfter);
+    a.boolean(chargerActive);
 
     // Stream selection, watchpoint filter, breakpoint config.
-    w.boolean(streams_.energy);
-    w.boolean(streams_.iobus);
-    w.boolean(streams_.rfid);
-    w.boolean(streams_.watchpoints);
-    w.boolean(watchAll);
-    w.u32(static_cast<std::uint32_t>(watchpoints.size()));
-    for (const auto &[id, on] : watchpoints) {
-        w.u32(id);
-        w.boolean(on);
-    }
-    w.u32(static_cast<std::uint32_t>(codeBkpts.size()));
-    for (const auto &[id, thresh] : codeBkpts) {
-        w.u32(id);
-        w.boolean(thresh.has_value());
-        w.f64(thresh.value_or(0.0));
-    }
-    w.boolean(energyBkptVolts.has_value());
-    w.f64(energyBkptVolts.value_or(0.0));
-    w.boolean(energyBkptArmed);
+    a.boolean(streams_.energy);
+    a.boolean(streams_.iobus);
+    a.boolean(streams_.rfid);
+    a.boolean(streams_.watchpoints);
+    a.boolean(watchAll);
+    a.seq(watchpoints, [&a](auto &wp) {
+        a.u32(wp.first);
+        a.boolean(wp.second);
+    });
+    a.seq(codeBkpts, [&a](auto &bp) {
+        a.u32(bp.first);
+        a.optionalF64(bp.second);
+    });
+    a.optionalF64(energyBkptVolts);
+    a.boolean(energyBkptArmed);
 
     // Supervision counters: probe/retry budgets already consumed in
     // the current episode plus the lifetime link-health statistics.
-    w.u32(probesSent);
-    w.u32(ackRetries);
-    w.u64(framesOkAtLastCheck);
-    w.u64(linkStats_.probes);
-    w.u64(linkStats_.ackRetransmits);
-    w.u64(linkStats_.readRetries);
-    w.u64(linkStats_.writeRetries);
-    w.u64(linkStats_.resumeRetries);
-    w.u64(linkStats_.degradedEpisodes);
-    w.u64(linkStats_.abortedEpisodes);
-    w.blob(lastAbortReason_.data(), lastAbortReason_.size());
-    w.u64(auditSeen);
-    w.u64(printfs);
-    w.u64(guards);
-    w.u64(asserts);
-    w.u64(bkpts);
+    a.u32(probesSent);
+    a.u32(ackRetries);
+    a.u64(framesOkAtLastCheck);
+    a.u64(linkStats_.probes);
+    a.u64(linkStats_.ackRetransmits);
+    a.u64(linkStats_.readRetries);
+    a.u64(linkStats_.writeRetries);
+    a.u64(linkStats_.resumeRetries);
+    a.u64(linkStats_.degradedEpisodes);
+    a.u64(linkStats_.abortedEpisodes);
+    a.blob(lastAbortReason_);
+    a.u64(auditSeen);
+    a.u64(printfs);
+    a.u64(guards);
+    a.u64(asserts);
+    a.u64(bkpts);
 
     // Session command plumbing.
-    w.blob(lastReadReply.data(), lastReadReply.size());
-    w.boolean(writeAcked);
+    a.blob(lastReadReply);
+    a.boolean(writeAcked);
 
     // Debugger->target UART queue and the byte in flight.
-    w.u32(static_cast<std::uint32_t>(txQueue.size()));
-    for (std::uint8_t b : txQueue)
-        w.u8(b);
-    w.boolean(txBusy);
-    w.u8(txInFlight);
+    a.seq(txQueue, [&a](auto &b) { a.u8(b); });
+    a.boolean(txBusy);
+    a.u8(txInFlight);
 
     // Host-side frame parser (mid-frame state + parse stats).
-    protocol.saveState(w);
+    a.part(protocol);
 
-    // Pending events (rearmed in this order on restore).
-    w.pendingEvent(sampleEvent, sampleDue);
-    w.pendingEvent(reqHandlerEvent, reqHandlerDue);
-    w.pendingEvent(watchdogEvent, watchdogDue);
-    w.pendingEvent(txEvent, txDue);
+    // Pending events. Restoring cancels whatever this (fresh or
+    // rewound) board has pending, the constructor's first energy
+    // sample in particular, before rearming the saved residue.
+    a.event(sampleEvent, sampleDue, [this] { sampleEnergy(); });
+    a.event(reqHandlerEvent, reqHandlerDue, [this] { enterActive(); });
+    a.event(watchdogEvent, watchdogDue, [this] { episodeWatchdog(); });
+    a.event(txEvent, txDue, [this] { deliverTxByte(); });
+}
+
+void
+EdbBoard::saveState(sim::SnapshotWriter &w) const
+{
+    bool chargerActive = charger.active();
+    const_cast<EdbBoard *>(this)->fields(w, chargerActive);
 }
 
 void
 EdbBoard::restoreState(sim::SnapshotReader &r,
                        sim::EventRearmer &rearmer)
 {
-    r.section("edbboard");
-    // Reject a snapshot whose supervision parameters differ from
-    // this board's: restoring mid-episode retry counters against
-    // different budgets would corrupt the episode state machine.
-    bool same = true;
-    same &= r.tick() == cfg.energySamplePeriod;
-    same &= r.tick() == cfg.reqLatency;
-    same &= r.tick() == cfg.linkProbeTimeout;
-    same &= r.u32() == cfg.linkProbeMax;
-    same &= r.u32() == cfg.guardProbeMax;
-    same &= r.u32() == cfg.ackRetryMax;
-    same &= r.u32() == cfg.readRetryMax;
-    same &= r.u32() == cfg.writeRetryMax;
-    same &= r.u32() == cfg.resumeRetryMax;
-    same &= r.u32() == cfg.readChunk;
-    same &= r.tick() == cfg.interByteTimeout;
-    if (!same) {
-        r.invalidate();
+    bool chargerWasActive = false;
+    fields(r.rearmingWith(rearmer), chargerWasActive);
+    if (!r.ok())
         return;
-    }
-
-    mode = static_cast<Mode>(r.u8());
-    pendingIrqReason = static_cast<SessionReason>(r.u8());
-    savedVolts = r.f64();
-    restoredVolts = r.f64();
-    lastSavedTrue = r.f64();
-    lastRestoredTrue = r.f64();
-    lastVcapVolts = r.f64();
-    reqHigh = r.boolean();
-    tether.setEnabled(r.boolean());
-    restoreAckAfter = r.boolean();
-    bool chargerWasActive = r.boolean();
-
-    streams_.energy = r.boolean();
-    streams_.iobus = r.boolean();
-    streams_.rfid = r.boolean();
-    streams_.watchpoints = r.boolean();
-    watchAll = r.boolean();
-    watchpoints.clear();
-    std::uint32_t nwatch = r.u32();
-    for (std::uint32_t i = 0; i < nwatch && r.ok(); ++i) {
-        unsigned id = r.u32();
-        watchpoints[id] = r.boolean();
-    }
-    codeBkpts.clear();
-    std::uint32_t nbkpt = r.u32();
-    for (std::uint32_t i = 0; i < nbkpt && r.ok(); ++i) {
-        unsigned id = r.u32();
-        bool has = r.boolean();
-        double thresh = r.f64();
-        codeBkpts[id] =
-            has ? std::optional<double>(thresh) : std::nullopt;
-    }
-    bool hasEnergyBkpt = r.boolean();
-    double energyVolts = r.f64();
-    energyBkptVolts = hasEnergyBkpt
-                          ? std::optional<double>(energyVolts)
-                          : std::nullopt;
-    energyBkptArmed = r.boolean();
-
-    probesSent = r.u32();
-    ackRetries = r.u32();
-    framesOkAtLastCheck = r.u64();
-    linkStats_.probes = r.u64();
-    linkStats_.ackRetransmits = r.u64();
-    linkStats_.readRetries = r.u64();
-    linkStats_.writeRetries = r.u64();
-    linkStats_.resumeRetries = r.u64();
-    linkStats_.degradedEpisodes = r.u64();
-    linkStats_.abortedEpisodes = r.u64();
-    {
-        auto b = r.blob();
-        lastAbortReason_.assign(b.begin(), b.end());
-    }
-    auditSeen = r.u64();
-    printfs = r.u64();
-    guards = r.u64();
-    asserts = r.u64();
-    bkpts = r.u64();
-
-    lastReadReply = r.blob();
-    writeAcked = r.boolean();
-
-    txQueue.clear();
-    std::uint32_t ntx = r.u32();
-    for (std::uint32_t i = 0; i < ntx && r.ok(); ++i)
-        txQueue.push_back(r.u8());
-    txBusy = r.boolean();
-    txInFlight = r.u8();
-
-    protocol.restoreState(r);
-
-    // Cancel whatever this (fresh or rewound) board has pending —
-    // the constructor's first energy sample in particular — before
-    // rearming the saved residue.
-    if (sampleEvent != sim::invalidEventId) {
-        sim().cancel(sampleEvent);
-        sampleEvent = sim::invalidEventId;
-    }
-    if (reqHandlerEvent != sim::invalidEventId) {
-        sim().cancel(reqHandlerEvent);
-        reqHandlerEvent = sim::invalidEventId;
-    }
-    cancelWatchdog();
-    if (txEvent != sim::invalidEventId) {
-        sim().cancel(txEvent);
-        txEvent = sim::invalidEventId;
-    }
-    charger.abort();
-    r.pendingEvent(
-        rearmer, [this] { sampleEnergy(); },
-        [this](sim::EventId id, sim::Tick due) {
-            sampleEvent = id;
-            sampleDue = due;
-        });
-    r.pendingEvent(
-        rearmer, [this] { enterActive(); },
-        [this](sim::EventId id, sim::Tick due) {
-            reqHandlerEvent = id;
-            reqHandlerDue = due;
-        });
-    r.pendingEvent(
-        rearmer, [this] { episodeWatchdog(); },
-        [this](sim::EventId id, sim::Tick due) {
-            watchdogEvent = id;
-            watchdogDue = due;
-        });
-    r.pendingEvent(
-        rearmer, [this] { deliverTxByte(); },
-        [this](sim::EventId id, sim::Tick due) {
-            txEvent = id;
-            txDue = due;
-        });
-
     // The charge circuit's ramp-control callback cannot be
     // serialized. A snapshot taken mid-ramp restarts the restore
     // ramp from the (restored) capacitor level: same destination
     // and completion semantics, progress bounded by the charger's
-    // own deadline. Fleet boards are passive, so this path only
-    // fires for snapshots taken inside an active episode.
-    if (chargerWasActive && mode == Mode::Restoring && r.ok())
+    // own deadline. This path only fires for snapshots taken inside
+    // an active episode.
+    charger.abort();
+    if (chargerWasActive && mode == Mode::Restoring)
         armRestoreRamp();
 }
 

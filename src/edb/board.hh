@@ -264,6 +264,10 @@ class EdbBoard : public sim::Component
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). The charger's
+     *  activity travels but is restored by restoreState itself. */
+    template <class Ar> void fields(Ar &a, bool &chargerActive);
+
     friend class DebugSession;
 
     enum class Mode

@@ -258,38 +258,34 @@ formatPrintf(const std::string &fmt,
     return out.str();
 }
 
+template <class Ar>
+void
+ProtocolEngine::fields(Ar &a)
+{
+    a.section("protoeng");
+    a.u8(state);
+    a.blob(payload);
+    a.u64(expected);
+    a.u8(runningCrc);
+    a.tick(lastByteAt);
+    a.tick(interByteTimeout);
+    a.u64(stats_.framesOk);
+    a.u64(stats_.crcErrors);
+    a.u64(stats_.resyncs);
+    a.u64(stats_.strayBytes);
+    a.u64(stats_.malformed);
+}
+
 void
 ProtocolEngine::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("protoeng");
-    w.u8(static_cast<std::uint8_t>(state));
-    w.blob(payload.data(), payload.size());
-    w.u64(expected);
-    w.u8(runningCrc);
-    w.tick(lastByteAt);
-    w.tick(interByteTimeout);
-    w.u64(stats_.framesOk);
-    w.u64(stats_.crcErrors);
-    w.u64(stats_.resyncs);
-    w.u64(stats_.strayBytes);
-    w.u64(stats_.malformed);
+    const_cast<ProtocolEngine *>(this)->fields(w);
 }
 
 void
 ProtocolEngine::restoreState(sim::SnapshotReader &r)
 {
-    r.section("protoeng");
-    state = static_cast<State>(r.u8());
-    payload = r.blob();
-    expected = r.u64();
-    runningCrc = r.u8();
-    lastByteAt = r.tick();
-    interByteTimeout = r.tick();
-    stats_.framesOk = r.u64();
-    stats_.crcErrors = r.u64();
-    stats_.resyncs = r.u64();
-    stats_.strayBytes = r.u64();
-    stats_.malformed = r.u64();
+    fields(r);
 }
 
 } // namespace edb::edbdbg

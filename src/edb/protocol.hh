@@ -113,6 +113,9 @@ class ProtocolEngine
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     enum class State
     {
         Hunt,    ///< Searching for the sync byte.

@@ -152,70 +152,48 @@ PowerSystem::regulatedVoltage()
     return std::min(voltage(), cfg.regulatorVolts);
 }
 
+template <class Ar>
+void
+PowerSystem::fields(Ar &a)
+{
+    a.section("power");
+    // Raw member writes only: going through setVoltage/setLoad*
+    // would advanceTo(now()) and insert integration sub-steps the
+    // original run never took, breaking resume equivalence.
+    a.f64(sim::via(cap.voltage(), [this](double v) { cap.setVoltage(v); }));
+    a.tick(lastUpdate);
+    a.boolean(powered);
+    a.boolean(started);
+    a.f64(chargeIn);
+    a.f64(chargeOut);
+    a.u64(boots);
+    a.u64(brownOuts);
+    // Loads and sources are registered at construction, so their
+    // counts are the device's: another count fails the restore.
+    a.expect(static_cast<std::uint32_t>(loads.size()));
+    for (auto &load : loads) {
+        a.f64(load.amps);
+        a.boolean(load.enabled);
+    }
+    a.expect(static_cast<std::uint32_t>(sources.size()));
+    for (auto &src : sources)
+        a.boolean(src.enabled);
+    a.event(tickEvent, tickDueAt, [this] { tick(); });
+}
+
 void
 PowerSystem::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("power");
-    w.f64(cap.voltage());
-    w.tick(lastUpdate);
-    w.boolean(powered);
-    w.boolean(started);
-    w.f64(chargeIn);
-    w.f64(chargeOut);
-    w.u64(boots);
-    w.u64(brownOuts);
-    w.u32(static_cast<std::uint32_t>(loads.size()));
-    for (const auto &load : loads) {
-        w.f64(load.amps);
-        w.boolean(load.enabled);
-    }
-    w.u32(static_cast<std::uint32_t>(sources.size()));
-    for (const auto &src : sources)
-        w.boolean(src.enabled);
-    w.pendingEvent(started ? tickEvent : sim::invalidEventId,
-                   tickDueAt);
+    const_cast<PowerSystem *>(this)->fields(w);
 }
 
 void
 PowerSystem::restoreState(sim::SnapshotReader &r,
                           sim::EventRearmer &rearmer)
 {
-    r.section("power");
-    // Raw member writes only: going through setVoltage/setLoad*
-    // would advanceTo(now()) and insert integration sub-steps the
-    // original run never took, breaking resume equivalence.
-    cap.setVoltage(r.f64());
-    lastUpdate = r.tick();
-    powered = r.boolean();
-    started = r.boolean();
-    chargeIn = r.f64();
-    chargeOut = r.f64();
-    boots = r.u64();
-    brownOuts = r.u64();
-    std::uint32_t nloads = r.u32();
-    if (nloads == loads.size()) {
-        for (auto &load : loads) {
-            load.amps = r.f64();
-            load.enabled = r.boolean();
-        }
-    }
-    std::uint32_t nsources = r.u32();
-    if (nsources == sources.size()) {
-        for (auto &src : sources)
-            src.enabled = r.boolean();
-    }
+    fields(r.rearmingWith(rearmer));
     invalidateLoadSum();
     integrating = false;
-    if (tickEvent != sim::invalidEventId) {
-        sim().cancel(tickEvent);
-        tickEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { tick(); },
-        [this](sim::EventId id, sim::Tick due) {
-            tickEvent = id;
-            tickDueAt = due;
-        });
 }
 
 } // namespace edb::energy

@@ -473,6 +473,9 @@ class PowerSystem : public sim::Component
     void restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer);
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     struct Load
     {
         std::string name;

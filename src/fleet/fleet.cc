@@ -84,7 +84,6 @@ Fleet::buildWorlds(const FirmwareFn &firmware)
         if (fw.initialVolts >= 0.0)
             wc.wisp.power.initialVolts = fw.initialVolts;
         wc.withAuditor = cfg.withAuditor || fw.warMutant;
-        wc.withEdb = cfg.edbEvery != 0 && i % cfg.edbEvery == 0;
         wc.schedule = fw.schedule;
         if (fw.warMutant)
             wc.warDoneWatch = prog.symbol("war_done");

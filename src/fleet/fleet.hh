@@ -94,8 +94,6 @@ struct FleetConfig
     target::WispConfig wisp = {};
     /** Attach the WAR auditor to every world. */
     bool withAuditor = false;
-    /** Attach a passive EDB board to every Nth world (0 = none). */
-    unsigned edbEvery = 0;
     /** Epochs between shard rebalancing migrations (0 = off). */
     unsigned rebalancePeriod = 0;
 };

@@ -28,9 +28,6 @@ World::World(const isa::Program &program, const WorldConfig &config)
         aud = std::make_unique<mem::NvAuditor>(wisp_->makeAuditor());
         wisp_->attachAuditor(aud.get());
     }
-    if (cfg.withEdb)
-        edb_ = std::make_unique<edbdbg::EdbBoard>(sim, "edb", *wisp_,
-                                                  nullptr);
     for (const fuzz::BrownOut &b : cfg.schedule)
         brownOuts.add(b.at, b.volts);
 }
@@ -105,22 +102,27 @@ World::noteOutcome(rfid::SlotOutcome outcome)
     }
 }
 
+template <class Ar>
+void
+World::fields(Ar &a)
+{
+    a.part(*wisp_);
+    if (aud)
+        a.part(*aud);
+    a.section("fleetworld");
+    a.tick(epochStart);
+    a.u64(instrsAtEpochStart);
+    a.boolean(backoff);
+    a.u64(replies);
+    a.u64(collided);
+    a.u64(attempts);
+    a.part(gadget);
+}
+
 void
 World::saveTo(sim::SnapshotWriter &w) const
 {
-    wisp_->saveState(w);
-    if (aud)
-        aud->saveState(w);
-    if (edb_)
-        edb_->saveState(w);
-    w.section("fleetworld");
-    w.tick(epochStart);
-    w.u64(instrsAtEpochStart);
-    w.boolean(backoff);
-    w.u64(replies);
-    w.u64(collided);
-    w.u64(attempts);
-    gadget.saveState(w);
+    const_cast<World *>(this)->fields(w);
 }
 
 bool
@@ -132,19 +134,7 @@ World::adoptFrom(const World &other)
     if (!r.load(w.finish()))
         return false;
     sim::EventRearmer rearmer(sim);
-    wisp_->restoreState(r, rearmer);
-    if (aud)
-        aud->restoreState(r);
-    if (edb_)
-        edb_->restoreState(r, rearmer);
-    r.section("fleetworld");
-    epochStart = r.tick();
-    instrsAtEpochStart = r.u64();
-    backoff = r.boolean();
-    replies = r.u64();
-    collided = r.u64();
-    attempts = r.u64();
-    gadget.restoreState(r);
+    fields(r.rearmingWith(rearmer));
     if (!r.ok())
         return false;
     rearmer.flush();

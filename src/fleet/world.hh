@@ -1,8 +1,8 @@
 /**
  * @file
  * One world of a fleet: an isolated, deterministic simulation of a
- * single tag (Simulator + harvester + Wisp, optionally an NV auditor
- * and an EDB board), advanced in bounded epochs by the fleet's
+ * single tag (Simulator + harvester + Wisp, optionally an NV auditor),
+ * advanced in bounded epochs by the fleet's
  * thread pool.
  *
  * Isolation contract: between `planEpoch` (sequential, at the epoch
@@ -26,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "edb/board.hh"
 #include "energy/harvester.hh"
 #include "fuzz/generator.hh"
 #include "mem/nv_audit.hh"
@@ -55,8 +54,6 @@ struct WorldConfig
     target::WispConfig wisp = {};
     /** Attach the WAR consistency auditor. */
     bool withAuditor = false;
-    /** Attach a (passive) EDB debugger board. */
-    bool withEdb = false;
     /** Forced brown-out schedule (auditor sweeps). */
     std::vector<fuzz::BrownOut> schedule;
     /** PC of the WAR gadget's completion label (0 = no watch).
@@ -122,7 +119,6 @@ class World
     const target::Wisp &wisp() const { return *wisp_; }
     mem::NvAuditor *auditor() { return aud.get(); }
     const mem::NvAuditor *auditor() const { return aud.get(); }
-    edbdbg::EdbBoard *edb() { return edb_.get(); }
     /// @}
 
     /// @name Fleet-visible statistics
@@ -137,12 +133,14 @@ class World
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     WorldConfig cfg;
     sim::Simulator sim;
     energy::RfHarvester harvester;
     std::unique_ptr<target::Wisp> wisp_;
     std::unique_ptr<mem::NvAuditor> aud;
-    std::unique_ptr<edbdbg::EdbBoard> edb_;
     target::BrownOutSchedule brownOuts;
     target::GadgetWatch gadget;
 

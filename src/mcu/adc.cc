@@ -96,35 +96,28 @@ Adc::powerLost()
     power.setLoadEnabled(convLoad, false);
 }
 
+template <class Ar>
+void
+Adc::fields(Ar &a)
+{
+    a.section("adc");
+    a.u32(curChannel);
+    a.u32(value);
+    a.boolean(busy);
+    a.boolean(done);
+    a.event(convEvent, convDueAt, [this] { finish(); });
+}
+
 void
 Adc::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("adc");
-    w.u32(curChannel);
-    w.u32(value);
-    w.boolean(busy);
-    w.boolean(done);
-    w.pendingEvent(convEvent, convDueAt);
+    const_cast<Adc *>(this)->fields(w);
 }
 
 void
 Adc::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
 {
-    r.section("adc");
-    curChannel = r.u32();
-    value = r.u32();
-    busy = r.boolean();
-    done = r.boolean();
-    if (convEvent != sim::invalidEventId) {
-        sim().cancel(convEvent);
-        convEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { finish(); },
-        [this](sim::EventId id, sim::Tick due) {
-            convEvent = id;
-            convDueAt = due;
-        });
+    fields(r.rearmingWith(rearmer));
 }
 
 } // namespace edb::mcu

@@ -76,6 +76,9 @@ class Adc : public sim::Component
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     void start(unsigned channel);
     void finish();
 

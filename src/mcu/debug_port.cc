@@ -88,25 +88,27 @@ DebugPort::powerLost()
     dbgUart.powerLost();
 }
 
+template <class Ar>
 void
-DebugPort::saveState(sim::SnapshotWriter &w) const
+DebugPort::fields(Ar &a)
 {
-    w.section("dbgport");
-    w.boolean(req);
-    w.u32(bkptMask);
-    w.u64(markers);
-    dbgUart.saveState(w);
+    a.section("dbgport");
+    a.boolean(req); // raw: restored observers re-attach fresh
+    a.u32(bkptMask);
+    a.u64(markers);
+    a.part(dbgUart);
 }
 
 void
-DebugPort::restoreState(sim::SnapshotReader &r,
-                        sim::EventRearmer &rearmer)
+DebugPort::saveState(sim::SnapshotWriter &w) const
 {
-    r.section("dbgport");
-    req = r.boolean(); // raw: restored observers re-attach fresh
-    bkptMask = r.u32();
-    markers = r.u64();
-    dbgUart.restoreState(r, rearmer);
+    const_cast<DebugPort *>(this)->fields(w);
+}
+
+void
+DebugPort::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
+{
+    fields(r.rearmingWith(rearmer));
 }
 
 } // namespace edb::mcu

@@ -91,6 +91,9 @@ class DebugPort : public sim::Component
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     void pulseMarker(std::uint32_t id);
     void setReq(bool level);
 

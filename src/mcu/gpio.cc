@@ -63,20 +63,25 @@ Gpio::powerLost()
     writeOut(0);
 }
 
+template <class Ar>
+void
+Gpio::fields(Ar &a)
+{
+    a.section("gpio");
+    a.u32(out);
+    a.u32(in);
+}
+
 void
 Gpio::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("gpio");
-    w.u32(out);
-    w.u32(in);
+    const_cast<Gpio *>(this)->fields(w);
 }
 
 void
 Gpio::restoreState(sim::SnapshotReader &r)
 {
-    r.section("gpio");
-    out = r.u32();
-    in = r.u32();
+    fields(r);
 }
 
 } // namespace edb::mcu

@@ -64,6 +64,9 @@ class Gpio : public sim::Component
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     void writeOut(std::uint32_t value);
 
     sim::TimeCursor &cursor;

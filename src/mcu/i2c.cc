@@ -133,40 +133,30 @@ I2cController::powerLost()
     power.setLoadEnabled(busLoad, false);
 }
 
+template <class Ar>
 void
-I2cController::saveState(sim::SnapshotWriter &w) const
+I2cController::fields(Ar &a)
 {
-    w.section("i2c");
-    w.u8(curAddr);
-    w.u8(curReg);
-    w.u8(curData);
-    w.boolean(curIsRead);
-    w.boolean(inFlight);
-    w.boolean(done);
-    w.pendingEvent(busEvent, busDueAt);
+    a.section("i2c");
+    a.u8(curAddr);
+    a.u8(curReg);
+    a.u8(curData);
+    a.boolean(curIsRead);
+    a.boolean(inFlight);
+    a.boolean(done);
+    a.event(busEvent, busDueAt, [this] { finish(); });
 }
 
 void
-I2cController::restoreState(sim::SnapshotReader &r,
-                            sim::EventRearmer &rearmer)
+I2cController::saveState(sim::SnapshotWriter &w) const
 {
-    r.section("i2c");
-    curAddr = r.u8();
-    curReg = r.u8();
-    curData = r.u8();
-    curIsRead = r.boolean();
-    inFlight = r.boolean();
-    done = r.boolean();
-    if (busEvent != sim::invalidEventId) {
-        sim().cancel(busEvent);
-        busEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { finish(); },
-        [this](sim::EventId id, sim::Tick due) {
-            busEvent = id;
-            busDueAt = due;
-        });
+    const_cast<I2cController *>(this)->fields(w);
+}
+
+void
+I2cController::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
+{
+    fields(r.rearmingWith(rearmer));
 }
 
 } // namespace edb::mcu

@@ -95,6 +95,9 @@ class I2cController : public sim::Component
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     void start(bool is_read);
     void finish();
     I2cDevice *findDevice(std::uint8_t addr) const;

@@ -39,20 +39,25 @@ Led::powerLost()
     set(false);
 }
 
+template <class Ar>
+void
+Led::fields(Ar &a)
+{
+    a.section("led");
+    a.boolean(on);
+    a.u64(blinks);
+}
+
 void
 Led::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("led");
-    w.boolean(on);
-    w.u64(blinks);
+    const_cast<Led *>(this)->fields(w);
 }
 
 void
 Led::restoreState(sim::SnapshotReader &r)
 {
-    r.section("led");
-    on = r.boolean();
-    blinks = r.u64();
+    fields(r);
 }
 
 } // namespace edb::mcu

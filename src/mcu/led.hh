@@ -53,6 +53,9 @@ class Led : public sim::Component
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     void set(bool level);
 
     energy::PowerSystem &power;

@@ -27,6 +27,11 @@ constexpr mem::Addr ckRegsOff = runtime::ckfmt::regsOff;
 constexpr mem::Addr ckStackOff = runtime::ckfmt::stackOff;
 constexpr std::uint32_t ckMagic = runtime::ckfmt::magic;
 
+/** Longest superblock compiled, in instructions. */
+constexpr unsigned superblockMaxLen = Mcu::superblockLenCap;
+/** Blocks shorter than this are not worth registering. */
+constexpr unsigned superblockMinLen = 3;
+
 } // namespace
 
 const char *
@@ -69,10 +74,6 @@ Mcu::Mcu(sim::Simulator &simulator, std::string component_name,
     power.addPowerListener([this](bool on) { onPowerChange(on); });
     powerMaxStep_ = power.config().maxStep;
     mem_.setFindCacheEnabled(cfg.flatDispatch);
-    if (cfg.superblockMaxLen > superblockLenCap)
-        cfg.superblockMaxLen = superblockLenCap;
-    if (cfg.superblockMinLen < 1)
-        cfg.superblockMinLen = 1;
     // The block tier leans on all three underlying fast paths: the
     // predecode cache (decode + costing + the write watch), batched
     // drain (aligned lastUpdate ticks) and batched slices (the
@@ -83,7 +84,7 @@ Mcu::Mcu(sim::Simulator &simulator, std::string component_name,
     // cycle) instructions. Heuristic only — dispatch admissibility
     // always uses the candidate block's exact worst case.
     sbBuildGateSeconds_ = sim::secondsFromTicks(
-        static_cast<sim::Tick>(cfg.superblockMaxLen) * 4 *
+        static_cast<sim::Tick>(superblockMaxLen) * 4 *
         cyclePeriod_);
 }
 
@@ -710,7 +711,7 @@ Mcu::buildInto(Superblock &b, mem::Addr pc)
     const std::uint8_t *store = region->directStore();
     const mem::Addr region_end = region->base() + region->size();
     const std::size_t max_len = std::min<std::size_t>(
-        (region_end - pc) / 4, cfg.superblockMaxLen);
+        (region_end - pc) / 4, superblockMaxLen);
     for (std::size_t k = 0; k < max_len; ++k) {
         const mem::Addr ipc = pc + static_cast<mem::Addr>(k * 4);
         const std::size_t slot = (ipc - icacheBase_) >> 2;
@@ -769,7 +770,7 @@ Mcu::buildInto(Superblock &b, mem::Addr pc)
         if (bb == isa::BlockBoundary::Branch)
             break; // a branch is the block's terminal thunk
     }
-    if (b.ops.size() < cfg.superblockMinLen)
+    if (b.ops.size() < superblockMinLen)
         return false;
     b.epoch = codeEpoch_;
     ++sbStats_.blocksBuilt;
@@ -1678,81 +1679,51 @@ Mcu::debugWrite32(mem::Addr addr, std::uint32_t value)
     mem_.write32(addr, value);
 }
 
+template <class Ar>
+void
+Mcu::fields(Ar &a)
+{
+    a.section("mcu");
+    for (std::uint32_t &r : regs)
+        a.u32(r);
+    a.u32(pc_);
+    a.u32(sim::via(flags_.pack(), [this](std::uint32_t v) {
+        flags_ = isa::Flags::unpack(v);
+    }));
+    a.u8(state_);
+    a.u8(fault_);
+    a.u32(entry);
+    a.u32(irqHandler);
+    a.boolean(irqLine);
+    a.boolean(inIrq);
+    a.boolean(chkptEnabled);
+    a.u64(sleepCycles);
+    a.u64(cycles);
+    a.u64(instrs);
+    a.u64(reboots);
+    a.u64(faults);
+    a.u64(checkpointsTaken);
+    a.u64(checkpointsRestored);
+    a.u64(tornCommits_);
+    a.event(sliceEvent, sliceDueAt, [this] { runSlice(); });
+    a.event(bootEvent, bootDueAt, [this] { boot(); });
+}
+
 void
 Mcu::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("mcu");
-    for (std::uint32_t r : regs)
-        w.u32(r);
-    w.u32(pc_);
-    w.u32(flags_.pack());
-    w.u8(static_cast<std::uint8_t>(state_));
-    w.u8(static_cast<std::uint8_t>(fault_));
-    w.u32(entry);
-    w.u32(irqHandler);
-    w.boolean(irqLine);
-    w.boolean(inIrq);
-    w.boolean(chkptEnabled);
-    w.u64(sleepCycles);
-    w.u64(cycles);
-    w.u64(instrs);
-    w.u64(reboots);
-    w.u64(faults);
-    w.u64(checkpointsTaken);
-    w.u64(checkpointsRestored);
-    w.u64(tornCommits_);
-    w.pendingEvent(sliceEvent, sliceDueAt);
-    w.pendingEvent(bootEvent, bootDueAt);
+    const_cast<Mcu *>(this)->fields(w);
 }
 
 void
 Mcu::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
 {
-    r.section("mcu");
-    for (std::uint32_t &reg : regs)
-        reg = r.u32();
-    pc_ = r.u32();
-    flags_ = isa::Flags::unpack(r.u32());
-    state_ = static_cast<McuState>(r.u8());
-    fault_ = static_cast<McuFault>(r.u8());
-    entry = r.u32();
-    irqHandler = r.u32();
-    irqLine = r.boolean();
-    inIrq = r.boolean();
-    chkptEnabled = r.boolean();
-    sleepCycles = r.u64();
-    cycles = r.u64();
-    instrs = r.u64();
-    reboots = r.u64();
-    faults = r.u64();
-    checkpointsTaken = r.u64();
-    checkpointsRestored = r.u64();
-    tornCommits_ = r.u64();
+    fields(r.rearmingWith(rearmer));
     // The decode caches are epoch artifacts, not architectural
     // state: drop them and let them refill (bit-identical either
     // way). Restored memory bytes may differ arbitrarily from the
     // pre-restore image, so superblocks must recompile too.
     invalidateCodeCaches();
-    if (sliceEvent != sim::invalidEventId) {
-        sim().cancel(sliceEvent);
-        sliceEvent = sim::invalidEventId;
-    }
-    if (bootEvent != sim::invalidEventId) {
-        sim().cancel(bootEvent);
-        bootEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { runSlice(); },
-        [this](sim::EventId id, sim::Tick due) {
-            sliceEvent = id;
-            sliceDueAt = due;
-        });
-    r.pendingEvent(
-        rearmer, [this] { boot(); },
-        [this](sim::EventId id, sim::Tick due) {
-            bootEvent = id;
-            bootDueAt = due;
-        });
 }
 
 } // namespace edb::mcu

@@ -119,10 +119,6 @@ struct McuConfig
      *  brown-out pre-check cannot rule out a mid-block power loss.
      *  Bit-identical to the reference interpreter. */
     bool superblocks = true;
-    /** Max instructions per superblock (hard-capped at 32). */
-    unsigned superblockMaxLen = 32;
-    /** Blocks shorter than this are not worth registering. */
-    unsigned superblockMinLen = 3;
     /// @}
 
     /** Hardware checkpoint unit enable (restore-on-boot). */
@@ -328,7 +324,7 @@ class Mcu : public sim::Component
     unsigned checkpointCostCyclesFor(std::uint32_t stack_bytes) const;
     /// @}
 
-    /** Hard cap on McuConfig::superblockMaxLen (and the span of the
+    /** Longest superblock, in instructions (and the span of the
      *  block-length statistics). */
     static constexpr unsigned superblockLenCap = 32;
 
@@ -364,6 +360,9 @@ class Mcu : public sim::Component
     std::uint64_t codeEpoch() const { return codeEpoch_; }
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     /** Predecoded-instruction classes: how much of the cycle cost
      *  can be precomputed at decode time. */
     enum class InstrClass : std::uint8_t

@@ -110,43 +110,30 @@ Uart::powerLost()
     rxFifo.clear();
 }
 
+template <class Ar>
+void
+Uart::fields(Ar &a)
+{
+    a.section("uart");
+    a.boolean(busy);
+    a.u8(shifting);
+    a.u64(txCount);
+    a.u64(txDropped);
+    a.seq(rxFifo, [&a](auto &b) { a.u8(b); });
+    // The txLoad enable is restored positionally by PowerSystem.
+    a.event(txEvent, txDueAt, [this] { finishTx(); });
+}
+
 void
 Uart::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("uart");
-    w.boolean(busy);
-    w.u8(shifting);
-    w.u64(txCount);
-    w.u64(txDropped);
-    w.u32(static_cast<std::uint32_t>(rxFifo.size()));
-    for (std::uint8_t b : rxFifo)
-        w.u8(b);
-    w.pendingEvent(txEvent, txDueAt);
+    const_cast<Uart *>(this)->fields(w);
 }
 
 void
 Uart::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
 {
-    r.section("uart");
-    busy = r.boolean();
-    shifting = r.u8();
-    txCount = r.u64();
-    txDropped = r.u64();
-    rxFifo.clear();
-    std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i)
-        rxFifo.push_back(r.u8());
-    // The txLoad enable is restored positionally by PowerSystem.
-    if (txEvent != sim::invalidEventId) {
-        sim().cancel(txEvent);
-        txEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { finishTx(); },
-        [this](sim::EventId id, sim::Tick due) {
-            txEvent = id;
-            txDueAt = due;
-        });
+    fields(r.rearmingWith(rearmer));
 }
 
 } // namespace edb::mcu

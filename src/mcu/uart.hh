@@ -98,6 +98,9 @@ class Uart : public sim::Component
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     void startTx(std::uint8_t byte);
     void finishTx();
 

@@ -96,30 +96,29 @@ Ram::load(Addr addr, const std::uint8_t *data, std::size_t len)
     std::copy(data, data + len, store.begin() + (addr - base()));
 }
 
+template <class Ar>
+void
+Ram::fields(Ar &a)
+{
+    a.section("ram");
+    // In place: the backing buffer must not move, other parts of the
+    // system (direct-store readers) hold pointers into it. A size
+    // mismatch means the snapshot was taken on a different memory
+    // layout and fails the restore.
+    a.blob(store.data(), store.size());
+    a.u64(writes);
+}
+
 void
 Ram::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("ram");
-    w.blob(store.data(), store.size());
-    w.u64(writes);
+    const_cast<Ram *>(this)->fields(w);
 }
 
 void
 Ram::restoreState(sim::SnapshotReader &r)
 {
-    r.section("ram");
-    std::vector<std::uint8_t> contents = r.blob();
-    if (contents.size() != store.size()) {
-        // Size mismatch means the snapshot was taken on a different
-        // memory layout; leave contents alone and let the caller's
-        // ok() check reject the restore.
-        r.invalidate();
-        return;
-    }
-    // Copy in place: the backing buffer must not move, other parts
-    // of the system (direct-store readers) hold pointers into it.
-    std::copy(contents.begin(), contents.end(), store.begin());
-    writes = r.u64();
+    fields(r);
 }
 
 MmioRegion::MmioRegion(std::string region_name, Addr base_addr,

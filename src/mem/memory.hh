@@ -143,6 +143,9 @@ class Ram : public Region
     void restoreState(sim::SnapshotReader &r);
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     std::vector<std::uint8_t> store;
     std::uint64_t writes = 0;
 };

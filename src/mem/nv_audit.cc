@@ -204,79 +204,52 @@ NvAuditor::takeFindings()
     return out;
 }
 
+template <class Ar>
+void
+NvAuditor::fields(Ar &a)
+{
+    a.section("nvau");
+    for (unsigned r = 0; r < numRegs; ++r) {
+        a.boolean(tainted[r]);
+        a.u32(guide[r]);
+    }
+    a.seq(records, [&a](auto &rec) {
+        a.u32(rec.guideAddr);
+        a.u32(rec.storeAddr);
+        a.u32(rec.storePc);
+        a.u64(rec.interval);
+    });
+    a.seq(findings_, [&a](auto &f) {
+        a.u32(f.guideAddr);
+        a.u32(f.storeAddr);
+        a.u32(f.storePc);
+        a.u64(f.interval);
+        a.tick(f.lossTick);
+    });
+    a.u64(violations);
+    a.u64(interval);
+    a.u64(readsThisInterval);
+    a.u64(writesThisInterval);
+    a.boolean(shadowValid_);
+    a.tick(shadowTick_);
+    a.blob(shadow);
+    for (int slot = 0; slot < 2; ++slot) {
+        a.boolean(commitCrcValid_[slot]);
+        a.u32(commitCrc_[slot]);
+    }
+    a.u64(unsealedRestores_);
+}
+
 void
 NvAuditor::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("nvau");
-    for (unsigned r = 0; r < numRegs; ++r) {
-        w.boolean(tainted[r]);
-        w.u32(guide[r]);
-    }
-    w.u32(static_cast<std::uint32_t>(records.size()));
-    for (const Record &rec : records) {
-        w.u32(rec.guideAddr);
-        w.u32(rec.storeAddr);
-        w.u32(rec.storePc);
-        w.u64(rec.interval);
-    }
-    w.u32(static_cast<std::uint32_t>(findings_.size()));
-    for (const NvFinding &f : findings_) {
-        w.u32(f.guideAddr);
-        w.u32(f.storeAddr);
-        w.u32(f.storePc);
-        w.u64(f.interval);
-        w.tick(f.lossTick);
-    }
-    w.u64(violations);
-    w.u64(interval);
-    w.u64(readsThisInterval);
-    w.u64(writesThisInterval);
-    w.boolean(shadowValid_);
-    w.tick(shadowTick_);
-    w.blob(shadow.data(), shadow.size());
-    for (int slot = 0; slot < 2; ++slot) {
-        w.boolean(commitCrcValid_[slot]);
-        w.u32(commitCrc_[slot]);
-    }
-    w.u64(unsealedRestores_);
+    const_cast<NvAuditor *>(this)->fields(w);
 }
 
 void
 NvAuditor::restoreState(sim::SnapshotReader &r)
 {
-    if (!r.section("nvau"))
-        return;
-    for (unsigned i = 0; i < numRegs; ++i) {
-        tainted[i] = r.boolean();
-        guide[i] = r.u32();
-    }
-    records.resize(r.u32());
-    for (Record &rec : records) {
-        rec.guideAddr = r.u32();
-        rec.storeAddr = r.u32();
-        rec.storePc = r.u32();
-        rec.interval = r.u64();
-    }
-    findings_.resize(r.u32());
-    for (NvFinding &f : findings_) {
-        f.guideAddr = r.u32();
-        f.storeAddr = r.u32();
-        f.storePc = r.u32();
-        f.interval = r.u64();
-        f.lossTick = r.tick();
-    }
-    violations = r.u64();
-    interval = r.u64();
-    readsThisInterval = r.u64();
-    writesThisInterval = r.u64();
-    shadowValid_ = r.boolean();
-    shadowTick_ = r.tick();
-    shadow = r.blob();
-    for (int slot = 0; slot < 2; ++slot) {
-        commitCrcValid_[slot] = r.boolean();
-        commitCrc_[slot] = r.u32();
-    }
-    unsealedRestores_ = r.u64();
+    fields(r);
 }
 
 std::vector<Addr>

@@ -200,6 +200,9 @@ class NvAuditor
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     struct Record
     {
         Addr guideAddr;

@@ -170,40 +170,34 @@ NvRegion::wornWords() const
     return worn;
 }
 
+template <class Ar>
+void
+NvRegion::fields(Ar &a)
+{
+    a.part(static_cast<Ram &>(*this));
+    a.section("nvrg");
+    // The wear table is sized by the device: a snapshot with another
+    // word count fails the restore.
+    a.expect(static_cast<std::uint64_t>(wear_.size()));
+    for (std::uint64_t &count : wear_)
+        a.u64(count);
+    a.boolean(burstOpen_);
+    a.u32(burstAddr_);
+    a.u32(burstWords_);
+    a.u64(tornWrites_);
+    a.u32(commitSlot_);
+}
+
 void
 NvRegion::saveState(sim::SnapshotWriter &w) const
 {
-    Ram::saveState(w);
-    w.section("nvrg");
-    w.u64(wear_.size());
-    for (std::uint64_t count : wear_)
-        w.u64(count);
-    w.boolean(burstOpen_);
-    w.u32(burstAddr_);
-    w.u32(burstWords_);
-    w.u64(tornWrites_);
-    w.u32(static_cast<std::uint32_t>(commitSlot_));
+    const_cast<NvRegion *>(this)->fields(w);
 }
 
 void
 NvRegion::restoreState(sim::SnapshotReader &r)
 {
-    Ram::restoreState(r);
-    if (!r.section("nvrg"))
-        return;
-    const std::uint64_t words = r.u64();
-    if (words == wear_.size()) {
-        for (std::uint64_t &count : wear_)
-            count = r.u64();
-    } else {
-        for (std::uint64_t i = 0; i < words; ++i)
-            (void)r.u64();
-    }
-    burstOpen_ = r.boolean();
-    burstAddr_ = r.u32();
-    burstWords_ = r.u32();
-    tornWrites_ = r.u64();
-    commitSlot_ = static_cast<int>(r.u32());
+    fields(r);
 }
 
 } // namespace edb::mem

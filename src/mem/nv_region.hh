@@ -160,6 +160,9 @@ class NvRegion : public Ram
     void restoreState(sim::SnapshotReader &r);
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     /** Apply wear accounting + stuck-at masking for one word write;
      *  returns the value that actually lands in the cells. */
     std::uint32_t wornValue(std::size_t word_index,

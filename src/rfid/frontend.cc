@@ -132,58 +132,32 @@ RfFrontend::powerLost()
     txFrame.clear();
 }
 
+template <class Ar>
 void
-RfFrontend::saveState(sim::SnapshotWriter &w) const
+RfFrontend::fields(Ar &a)
 {
-    w.section("rf");
-    w.u32(static_cast<std::uint32_t>(rxFifo.size()));
-    for (const auto &frame : rxFifo) {
-        w.u32(static_cast<std::uint32_t>(frame.size()));
-        for (std::uint8_t b : frame)
-            w.u8(b);
-    }
-    w.u32(static_cast<std::uint32_t>(txFrame.size()));
-    for (std::uint8_t b : txFrame)
-        w.u8(b);
-    w.boolean(txActive);
-    w.u64(rxCount);
-    w.u64(txCount);
-    w.u64(rxDropped);
-    w.pendingEvent(txEvent, txDueAt);
+    a.section("rf");
+    a.seq(rxFifo, [&a](auto &frame) {
+        a.seq(frame, [&a](auto &b) { a.u8(b); });
+    });
+    a.seq(txFrame, [&a](auto &b) { a.u8(b); });
+    a.boolean(txActive);
+    a.u64(rxCount);
+    a.u64(txCount);
+    a.u64(rxDropped);
+    a.event(txEvent, txDueAt, [this] { finishTx(); });
 }
 
 void
-RfFrontend::restoreState(sim::SnapshotReader &r,
-                         sim::EventRearmer &rearmer)
+RfFrontend::saveState(sim::SnapshotWriter &w) const
 {
-    r.section("rf");
-    rxFifo.clear();
-    std::uint32_t nframes = r.u32();
-    for (std::uint32_t i = 0; i < nframes && r.ok(); ++i) {
-        std::deque<std::uint8_t> frame;
-        std::uint32_t len = r.u32();
-        for (std::uint32_t j = 0; j < len && r.ok(); ++j)
-            frame.push_back(r.u8());
-        rxFifo.push_back(std::move(frame));
-    }
-    txFrame.clear();
-    std::uint32_t txlen = r.u32();
-    for (std::uint32_t i = 0; i < txlen && r.ok(); ++i)
-        txFrame.push_back(r.u8());
-    txActive = r.boolean();
-    rxCount = r.u64();
-    txCount = r.u64();
-    rxDropped = r.u64();
-    if (txEvent != sim::invalidEventId) {
-        sim().cancel(txEvent);
-        txEvent = sim::invalidEventId;
-    }
-    r.pendingEvent(
-        rearmer, [this] { finishTx(); },
-        [this](sim::EventId id, sim::Tick due) {
-            txEvent = id;
-            txDueAt = due;
-        });
+    const_cast<RfFrontend *>(this)->fields(w);
+}
+
+void
+RfFrontend::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
+{
+    fields(r.rearmingWith(rearmer));
 }
 
 } // namespace edb::rfid

@@ -83,6 +83,9 @@ class RfFrontend : public sim::Component
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     void startTx();
     void finishTx();
 

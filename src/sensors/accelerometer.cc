@@ -85,32 +85,31 @@ Accelerometer::writeReg(std::uint8_t reg, std::uint8_t value)
         ctrlReg = value;
 }
 
+template <class Ar>
+void
+Accelerometer::fields(Ar &a)
+{
+    a.section("accel");
+    a.boolean(isMoving);
+    a.tick(stateUntil);
+    a.u32(x);
+    a.u32(y);
+    a.u32(z);
+    a.u8(ctrlReg);
+    a.u64(samples);
+    a.u64(movingLatched);
+}
+
 void
 Accelerometer::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("accel");
-    w.boolean(isMoving);
-    w.tick(stateUntil);
-    w.u32(static_cast<std::uint16_t>(x));
-    w.u32(static_cast<std::uint16_t>(y));
-    w.u32(static_cast<std::uint16_t>(z));
-    w.u8(ctrlReg);
-    w.u64(samples);
-    w.u64(movingLatched);
+    const_cast<Accelerometer *>(this)->fields(w);
 }
 
 void
 Accelerometer::restoreState(sim::SnapshotReader &r)
 {
-    r.section("accel");
-    isMoving = r.boolean();
-    stateUntil = r.tick();
-    x = static_cast<std::int16_t>(static_cast<std::uint16_t>(r.u32()));
-    y = static_cast<std::int16_t>(static_cast<std::uint16_t>(r.u32()));
-    z = static_cast<std::int16_t>(static_cast<std::uint16_t>(r.u32()));
-    ctrlReg = r.u8();
-    samples = r.u64();
-    movingLatched = r.u64();
+    fields(r);
 }
 
 } // namespace edb::sensors

@@ -84,6 +84,9 @@ class Accelerometer : public sim::Component, public mcu::I2cDevice
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     void maybeAdvanceState();
     void latchSample();
 

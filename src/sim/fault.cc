@@ -194,66 +194,38 @@ FaultInjector::onTornWord(std::uint32_t &word)
     return true;
 }
 
+template <class Ar>
+void
+FaultInjector::fields(Ar &a)
+{
+    a.section("fault");
+    a.rng(rng);
+    a.u64(instrCount);
+    a.u64(nvCommitWordCount);
+    a.u64(stats_.wireBytes);
+    a.u64(stats_.corrupted);
+    a.u64(stats_.dropped);
+    a.u64(stats_.duplicated);
+    a.u64(stats_.adcGlitches);
+    a.u64(stats_.brownOutsForced);
+    a.u64(stats_.nvCommitWords);
+    a.u64(stats_.nvTears);
+    a.u64(stats_.nvTornWordsCorrupted);
+    // Only brown-outs still in the future are queue residue; fired
+    // ones linger in armed_ but are history, not pending state.
+    a.events(armed_, now(), [this] { fireBrownOut(); });
+}
+
 void
 FaultInjector::saveState(SnapshotWriter &w) const
 {
-    w.section("fault");
-    w.rng(rng);
-    w.u64(instrCount);
-    w.u64(nvCommitWordCount);
-    w.u64(stats_.wireBytes);
-    w.u64(stats_.corrupted);
-    w.u64(stats_.dropped);
-    w.u64(stats_.duplicated);
-    w.u64(stats_.adcGlitches);
-    w.u64(stats_.brownOutsForced);
-    w.u64(stats_.nvCommitWords);
-    w.u64(stats_.nvTears);
-    w.u64(stats_.nvTornWordsCorrupted);
-    // Only brown-outs still in the future are queue residue; fired
-    // ones linger in armed_ but are history, not pending state.
-    std::uint32_t live = 0;
-    for (const auto &[id, when] : armed_) {
-        if (when > now())
-            ++live;
-    }
-    w.u32(live);
-    for (const auto &[id, when] : armed_) {
-        if (when > now())
-            w.pendingEvent(id, when);
-    }
+    const_cast<FaultInjector *>(this)->fields(w);
 }
 
 void
 FaultInjector::restoreState(SnapshotReader &r, EventRearmer &rearmer)
 {
-    r.section("fault");
-    r.rng(rng);
-    instrCount = r.u64();
-    nvCommitWordCount = r.u64();
-    stats_.wireBytes = r.u64();
-    stats_.corrupted = r.u64();
-    stats_.dropped = r.u64();
-    stats_.duplicated = r.u64();
-    stats_.adcGlitches = r.u64();
-    stats_.brownOutsForced = r.u64();
-    stats_.nvCommitWords = r.u64();
-    stats_.nvTears = r.u64();
-    stats_.nvTornWordsCorrupted = r.u64();
-    for (const auto &[id, when] : armed_) {
-        if (when > now())
-            sim().cancel(id);
-    }
-    armed_.clear();
-    std::uint32_t live = r.u32();
-    for (std::uint32_t i = 0; i < live && r.ok(); ++i) {
-        r.pendingEvent(
-            rearmer, [this] { fireBrownOut(); },
-            [this](EventId id, Tick due) {
-                if (id != invalidEventId)
-                    armed_.emplace_back(id, due);
-            });
-    }
+    fields(r.rearmingWith(rearmer));
 }
 
 } // namespace edb::sim

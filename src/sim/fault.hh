@@ -270,6 +270,9 @@ class FaultInjector : public Component
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     void fireBrownOut();
 
     FaultPlan plan_;

@@ -17,32 +17,28 @@ ScheduleLog::truncateAfter(Tick at)
               log.end());
 }
 
+template <class Ar>
+void
+ScheduleLog::fields(Ar &a)
+{
+    a.section("sched");
+    a.seq(log, [&a](auto &e) {
+        a.tick(e.at);
+        a.u32(e.op);
+        a.f64(e.arg);
+    });
+}
+
 void
 ScheduleLog::saveState(SnapshotWriter &w) const
 {
-    w.section("sched");
-    w.u32(static_cast<std::uint32_t>(log.size()));
-    for (const ScheduleEntry &e : log) {
-        w.tick(e.at);
-        w.u32(e.op);
-        w.f64(e.arg);
-    }
+    const_cast<ScheduleLog *>(this)->fields(w);
 }
 
 void
 ScheduleLog::restoreState(SnapshotReader &r)
 {
-    r.section("sched");
-    log.clear();
-    std::uint32_t n = r.u32();
-    log.reserve(n);
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        ScheduleEntry e;
-        e.at = r.tick();
-        e.op = r.u32();
-        e.arg = r.f64();
-        log.push_back(e);
-    }
+    fields(r);
 }
 
 void
@@ -110,29 +106,29 @@ ProgressMonitor::rebase(std::uint64_t reboots, std::uint64_t commits)
     tripped_ = false;
 }
 
+template <class Ar>
+void
+ProgressMonitor::fields(Ar &a)
+{
+    a.section("pmon");
+    a.u64(maxReboots);
+    a.u64(lastReboots);
+    a.u64(lastCommits);
+    a.u64(sinceCommit);
+    a.boolean(primed);
+    a.boolean(tripped_);
+}
+
 void
 ProgressMonitor::saveState(SnapshotWriter &w) const
 {
-    w.section("pmon");
-    w.u64(maxReboots);
-    w.u64(lastReboots);
-    w.u64(lastCommits);
-    w.u64(sinceCommit);
-    w.boolean(primed);
-    w.boolean(tripped_);
+    const_cast<ProgressMonitor *>(this)->fields(w);
 }
 
 void
 ProgressMonitor::restoreState(SnapshotReader &r)
 {
-    if (!r.section("pmon"))
-        return;
-    maxReboots = r.u64();
-    lastReboots = r.u64();
-    lastCommits = r.u64();
-    sinceCommit = r.u64();
-    primed = r.boolean();
-    tripped_ = r.boolean();
+    fields(r);
 }
 
 } // namespace edb::sim

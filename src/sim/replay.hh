@@ -71,6 +71,9 @@ class ScheduleLog
     void restoreState(SnapshotReader &r);
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     std::vector<ScheduleEntry> log;
 };
 
@@ -154,6 +157,9 @@ class ProgressMonitor
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     std::uint64_t maxReboots;
     std::uint64_t lastReboots = 0;
     std::uint64_t lastCommits = 0;

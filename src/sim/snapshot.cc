@@ -46,7 +46,7 @@ crc32(const void *data, std::size_t len, std::uint32_t seed)
 }
 
 void
-SnapshotWriter::f64(double v)
+SnapshotWriter::putF64(double v)
 {
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
@@ -220,17 +220,6 @@ SnapshotReader::f64()
     return v;
 }
 
-void
-SnapshotReader::bytes(void *out, std::size_t len)
-{
-    if (!need(len)) {
-        std::memset(out, 0, len);
-        return;
-    }
-    std::memcpy(out, payload.data() + pos, len);
-    pos += len;
-}
-
 std::vector<std::uint8_t>
 SnapshotReader::blob()
 {
@@ -280,21 +269,83 @@ SnapshotReader::rng(Rng &r)
 }
 
 void
-SnapshotReader::pendingEvent(EventRearmer &rearmer,
-                             EventQueue::Callback cb,
-                             std::function<void(EventId, Tick)> assign)
+SnapshotReader::blob(void *out, std::size_t len)
 {
-    if (!boolean()) {
-        assign(invalidEventId, 0);
+    std::uint64_t saved = u64();
+    if (ok() && saved != len)
+        invalidate();
+    if (!need(len))
         return;
-    }
+    std::memcpy(out, payload.data() + pos, len);
+    pos += len;
+}
+
+void
+SnapshotReader::optionalF64(std::optional<double> &v)
+{
+    bool has = boolean();
+    double value = f64();
+    if (ok())
+        v = has ? std::optional<double>(value) : std::nullopt;
+}
+
+std::uint32_t
+SnapshotReader::count()
+{
+    std::uint32_t n = u32();
+    if (ok() && n > payload.size() - pos)
+        invalidate();
+    return ok() ? n : 0;
+}
+
+bool
+SnapshotReader::canRearm()
+{
+    if (ok() && !rearmer_)
+        invalidate();
+    return ok();
+}
+
+void
+SnapshotReader::rearm(EventQueue::Callback cb,
+                      std::function<void(EventId, Tick)> assign)
+{
+    if (!boolean())
+        return;
     EventId savedId = u64();
     Tick when = tick();
-    if (!ok()) {
-        assign(invalidEventId, 0);
+    if (ok())
+        rearmer_->add(savedId, when, std::move(cb), std::move(assign));
+}
+
+void
+SnapshotReader::event(EventId &id, Tick &due, EventQueue::Callback cb)
+{
+    if (!canRearm())
         return;
+    rearmer_->cancel(id);
+    rearm(std::move(cb), [&id, &due](EventId fresh, Tick when) {
+        id = fresh;
+        due = when;
+    });
+}
+
+void
+SnapshotReader::events(std::vector<std::pair<EventId, Tick>> &list,
+                       Tick after, EventQueue::Callback cb)
+{
+    if (!canRearm())
+        return;
+    for (auto &[id, due] : list) {
+        if (due > after)
+            rearmer_->cancel(id);
     }
-    rearmer.add(savedId, when, std::move(cb), std::move(assign));
+    list.clear();
+    std::uint32_t n = count();
+    for (std::uint32_t i = 0; i < n && ok(); ++i)
+        rearm(cb, [&list](EventId fresh, Tick when) {
+            list.emplace_back(fresh, when);
+        });
 }
 
 void

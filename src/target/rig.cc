@@ -33,18 +33,24 @@ GadgetWatch::GadgetWatch(Wisp &wisp, mem::Addr done_pc) : wisp(wisp)
     });
 }
 
+template <class Ar>
+void
+GadgetWatch::fields(Ar &a)
+{
+    a.boolean(live);
+    a.u64(losses_);
+}
+
 void
 GadgetWatch::saveState(sim::SnapshotWriter &w) const
 {
-    w.boolean(live);
-    w.u64(losses_);
+    const_cast<GadgetWatch *>(this)->fields(w);
 }
 
 void
 GadgetWatch::restoreState(sim::SnapshotReader &r)
 {
-    live = r.boolean();
-    losses_ = r.u64();
+    fields(r);
 }
 
 namespace {

@@ -70,6 +70,9 @@ class GadgetWatch
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     Wisp &wisp;
     bool live = false;
     std::uint64_t losses_ = 0;

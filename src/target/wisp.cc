@@ -150,55 +150,43 @@ Wisp::attachFaults(sim::FaultInjector &fault)
     core.setNvFaults(&fault);
 }
 
+template <class Ar>
+void
+Wisp::fields(Ar &a)
+{
+    a.section("wisp");
+    a.tick(sim::via(sim().now(),
+                    [this](sim::Tick t) { sim().restoreClock(t); }));
+    a.tick(sim::via(cursor.localTime(),
+                    [this](sim::Tick t) { cursor.restoreLocal(t); }));
+    a.rng(sim().rng());
+    a.part(power_);
+    a.part(sram);
+    a.part(fram);
+    a.part(gpio_);
+    a.part(uart_);
+    a.part(i2c_);
+    a.part(adc_);
+    a.part(led_);
+    a.part(debugPort_);
+    a.part(accel_);
+    // A snapshot taken on a device with a different RF build fails.
+    a.expect(rf_ != nullptr);
+    if (rf_)
+        a.part(*rf_);
+    a.part(core);
+}
+
 void
 Wisp::saveState(sim::SnapshotWriter &w) const
 {
-    w.section("wisp");
-    w.tick(sim().now());
-    w.tick(cursor.localTime());
-    w.rng(sim().rng());
-    power_.saveState(w);
-    sram.saveState(w);
-    fram.saveState(w);
-    gpio_.saveState(w);
-    uart_.saveState(w);
-    i2c_.saveState(w);
-    adc_.saveState(w);
-    led_.saveState(w);
-    debugPort_.saveState(w);
-    accel_.saveState(w);
-    w.boolean(rf_ != nullptr);
-    if (rf_)
-        rf_->saveState(w);
-    core.saveState(w);
+    const_cast<Wisp *>(this)->fields(w);
 }
 
 void
 Wisp::restoreState(sim::SnapshotReader &r, sim::EventRearmer &rearmer)
 {
-    r.section("wisp");
-    sim().restoreClock(r.tick());
-    cursor.restoreLocal(r.tick());
-    r.rng(sim().rng());
-    power_.restoreState(r, rearmer);
-    sram.restoreState(r);
-    fram.restoreState(r);
-    gpio_.restoreState(r);
-    uart_.restoreState(r, rearmer);
-    i2c_.restoreState(r, rearmer);
-    adc_.restoreState(r, rearmer);
-    led_.restoreState(r);
-    debugPort_.restoreState(r, rearmer);
-    accel_.restoreState(r);
-    bool hasRf = r.boolean();
-    if (hasRf != (rf_ != nullptr)) {
-        // Snapshot taken on a device with a different RF build.
-        r.invalidate();
-        return;
-    }
-    if (rf_)
-        rf_->restoreState(r, rearmer);
-    core.restoreState(r, rearmer);
+    fields(r.rearmingWith(rearmer));
 }
 
 } // namespace edb::target

@@ -180,6 +180,9 @@ class Wisp : public sim::Component
     /// @}
 
   private:
+    /** Snapshot field list (DESIGN.md section 8.1). */
+    template <class Ar> void fields(Ar &a);
+
     WispConfig cfg;
     sim::TimeCursor cursor;
     energy::PowerSystem power_;

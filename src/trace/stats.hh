@@ -1,6 +1,6 @@
 /**
  * @file
- * Summary statistics, histograms and empirical CDFs.
+ * Summary statistics and empirical CDFs.
  *
  * Used by the benchmark harnesses to report the paper's tables
  * (mean / standard deviation in Table 3, CDF series in Figure 11).
@@ -97,48 +97,6 @@ class SampleSet
     mutable std::vector<double> samples;
     mutable bool isSorted = true;
     Summary stats;
-};
-
-/**
- * Fixed-bin histogram over [lo, hi); out-of-range samples clamp into
- * the first / last bin.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Add one sample. */
-    void add(double x) { add(x, 1); }
-
-    /** Add `weight` occurrences of the same value in O(1) — the
-     *  natural ingest for pre-binned counters such as the MCU's
-     *  superblock block-length counts. */
-    void add(double x, std::size_t weight);
-
-    /** Number of bins. */
-    std::size_t bins() const { return counts.size(); }
-
-    /** Count in bin `i`. */
-    std::size_t binCount(std::size_t i) const { return counts.at(i); }
-
-    /** Center value of bin `i`. */
-    double binCenter(std::size_t i) const;
-
-    /** Total samples added. */
-    std::size_t total() const { return n; }
-
-    /** Exact mean of the added values (not bin centers; 0 when
-     *  empty). */
-    double mean() const;
-
-  private:
-    double lo;
-    double hi;
-    std::vector<std::size_t> counts;
-    std::size_t n = 0;
-    /** Exact running sum of samples (x * weight). */
-    double sumX = 0.0;
 };
 
 } // namespace edb::trace

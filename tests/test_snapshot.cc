@@ -11,23 +11,47 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 
 #include "apps/activity.hh"
 #include "apps/linked_list.hh"
 #include "edb/board.hh"
 #include "energy/harvester.hh"
+#include "fleet/fleet.hh"
 #include "isa/assembler.hh"
+#include "mem/nv_audit.hh"
 #include "runtime/libedb.hh"
 #include "sim/fault.hh"
 #include "mcu/mmio_map.hh"
 #include "rfid/channel.hh"
 #include "sim/snapshot.hh"
+#include "sim/replay.hh"
 #include "sim/simulator.hh"
 #include "target/wisp.hh"
 
 using namespace edb;
 namespace m = edb::mcu::mmio;
+
+// Largest single allocation, so the malformed-image tests can check
+// that no decoded count turns into an allocation. AddressSanitizer
+// owns operator new in sanitizer builds (and aborts on a huge
+// request itself), so the tracker is compiled out there.
+static std::size_t largestAlloc = 0;
+
+#if !defined(__SANITIZE_ADDRESS__)
+void *
+operator new(std::size_t n)
+{
+    largestAlloc = std::max(largestAlloc, n);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+#endif
 
 namespace {
 
@@ -680,6 +704,230 @@ TEST(SnapshotEdbBoard, SupervisionConfigMismatchIsRejected)
     // Same config restores fine.
     BoardRig c(tweakedConfig());
     EXPECT_TRUE(restoreBoardWorld(image, c));
+}
+
+// ---------------------------------------------------------------
+// Malformed but CRC-valid images: every count read from an image is
+// bounded by the bytes left or checked against the device, so
+// restore fails promptly instead of allocating or spinning.
+// ---------------------------------------------------------------
+
+/** Load a writer's sealed image into `r`. */
+void
+loadImage(sim::SnapshotReader &r, const sim::SnapshotWriter &w)
+{
+    ASSERT_TRUE(r.load(w.finish()));
+}
+
+TEST(SnapshotBounds, AuditorRecordCountIsBounded)
+{
+    Rig rig;
+    mem::NvAuditor aud = rig.wisp.makeAuditor();
+    for (bool huge_findings : {false, true}) {
+        sim::SnapshotWriter w;
+        w.section("nvau");
+        for (unsigned i = 0; i < mem::NvAuditor::numRegs; ++i) {
+            w.boolean(false);
+            w.u32(0);
+        }
+        if (huge_findings)
+            w.u32(0); // no records, then a huge findings count
+        w.u32(0xFFFFFFFFu);
+        w.u64(0);
+        sim::SnapshotReader r;
+        loadImage(r, w);
+        largestAlloc = 0;
+        aud.restoreState(r);
+        EXPECT_FALSE(r.ok());
+        EXPECT_LT(largestAlloc, 4096u);
+        EXPECT_TRUE(aud.findings().empty());
+    }
+}
+
+TEST(SnapshotBounds, ScheduleLogCountIsBounded)
+{
+    sim::SnapshotWriter w;
+    w.section("sched");
+    w.u32(0xFFFFFFFFu);
+    w.tick(5);
+    sim::SnapshotReader r;
+    loadImage(r, w);
+    sim::ScheduleLog log;
+    log.record(1, 2, 3.0);
+    largestAlloc = 0;
+    log.restoreState(r);
+    EXPECT_FALSE(r.ok());
+    EXPECT_LT(largestAlloc, 4096u);
+    EXPECT_EQ(log.entries().size(), 1u); // untouched
+}
+
+TEST(SnapshotBounds, NvRegionWearCountMismatchFails)
+{
+    Rig rig;
+    mem::NvRegion &fram = rig.wisp.framRegion();
+    sim::SnapshotWriter w;
+    static_cast<const mem::Ram &>(fram).saveState(w);
+    w.section("nvrg");
+    w.u64(~std::uint64_t{0} - 5); // not the device's word count
+    sim::SnapshotReader r;
+    loadImage(r, w);
+    auto start = std::chrono::steady_clock::now();
+    fram.restoreState(r);
+    EXPECT_FALSE(r.ok());
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10));
+}
+
+TEST(SnapshotBounds, PowerLoadCountMismatchFails)
+{
+    // A load count that disagrees with the device is rejected, not
+    // skipped with its bytes left to misparse as the next fields.
+    Rig a;
+    Rig b;
+    b.wisp.power().addLoad("extra", 1e-6, false);
+    sim::SnapshotWriter w;
+    a.wisp.power().saveState(w);
+    sim::SnapshotReader r;
+    loadImage(r, w);
+    sim::EventRearmer rearmer(b.sim);
+    b.wisp.power().restoreState(r, rearmer);
+    EXPECT_FALSE(r.ok());
+
+    sim::SnapshotReader same;
+    loadImage(same, w);
+    Rig c;
+    sim::EventRearmer rearmer_c(c.sim);
+    c.wisp.power().restoreState(same, rearmer_c);
+    EXPECT_TRUE(same.ok());
+}
+
+// ---------------------------------------------------------------
+// Mutation sweep: every structural payload byte of a full world
+// image (Wisp with RF, auditor, EDB board), set to 0x00 and to
+// 0xFF with the CRC resealed, restored into a fresh world. Restore
+// may succeed or fail, but must return without crashing, hanging or
+// allocating more than the image.
+// ---------------------------------------------------------------
+
+/** Target with RF front end, NV auditor and EDB board. */
+struct FullRig
+{
+    sim::Simulator sim{61};
+    energy::RfHarvester supply{30.0, 1.0};
+    rfid::RfChannel chan{sim, "air"};
+    target::Wisp wisp;
+    mem::NvAuditor aud;
+    edbdbg::EdbBoard board;
+
+    explicit FullRig(const isa::Program &program)
+        : wisp(sim, "wisp", &supply, &chan, checkpointing()),
+          aud(wisp.makeAuditor()), board(sim, "edb", wisp, &chan)
+    {
+        wisp.attachAuditor(&aud);
+        wisp.flash(program);
+    }
+
+    static target::WispConfig
+    checkpointing()
+    {
+        target::WispConfig cfg;
+        cfg.mcu.checkpointingEnabled = true;
+        return cfg;
+    }
+};
+
+constexpr std::size_t headerBytes = 20;
+
+std::uint64_t
+le64(const std::vector<std::uint8_t> &b, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(b[at + i]) << (8 * i);
+    return v;
+}
+
+std::uint32_t
+le32(const std::vector<std::uint8_t> &b, std::size_t at)
+{
+    return static_cast<std::uint32_t>(le64(b, at) & 0xFFFFFFFFu);
+}
+
+TEST(SnapshotMutation, EveryStructuralByteRestoresSafely)
+{
+    const isa::Program program =
+        isa::assemble(fleet::Fleet::defaultFirmware().listing);
+    FullRig a(program);
+    a.wisp.start();
+    a.sim.runUntil(500 * sim::oneMs);
+    a.wisp.memoryMap().write32(m::rfTxByte, 0x11);
+    a.wisp.memoryMap().write32(m::rfTxCtrl, 1);
+    sim::SnapshotWriter w;
+    a.wisp.saveState(w);
+    const std::size_t audStart = w.finish().size();
+    a.aud.saveState(w);
+    a.board.saveState(w);
+    const std::vector<std::uint8_t> image = w.finish();
+    ASSERT_TRUE(a.aud.shadowValid());
+
+    // Content blobs: SRAM and FRAM (after each "ram" section marker
+    // and its u64 length) and the auditor's shadow (parsed from the
+    // "nvau" section layout).
+    std::vector<std::pair<std::size_t, std::size_t>> blobs;
+    const std::uint8_t ramTag[] = {0xA5, 3, 'r', 'a', 'm'};
+    for (auto it = image.begin();
+         (it = std::search(it, image.end(), std::begin(ramTag),
+                           std::end(ramTag))) != image.end();) {
+        std::size_t at = static_cast<std::size_t>(it - image.begin()) + 5;
+        std::size_t len = le64(image, at);
+        blobs.emplace_back(at + 8, at + 8 + len);
+        it = image.begin() + static_cast<std::ptrdiff_t>(at + 8 + len);
+    }
+    ASSERT_EQ(blobs.size(), 2u);
+    std::size_t at = audStart + 6 + mem::NvAuditor::numRegs * 5;
+    at += 4 + 20 * le32(image, at);
+    at += 4 + 28 * le32(image, at);
+    at += 4 * 8 + 1 + 8;
+    std::size_t shadowLen = le64(image, at);
+    ASSERT_GT(shadowLen, 0u);
+    blobs.emplace_back(at + 8, at + 8 + shadowLen);
+
+    auto structural = [&blobs](std::size_t off) {
+        for (const auto &[lo, hi] : blobs) {
+            if (off >= lo && off < hi)
+                return false;
+        }
+        return true;
+    };
+
+    std::size_t mutations = 0, restored = 0;
+    for (std::size_t off = headerBytes; off < image.size(); ++off) {
+        if (!structural(off))
+            continue;
+        for (std::uint8_t value : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+            if (image[off] == value)
+                continue;
+            std::vector<std::uint8_t> bad = image;
+            bad[off] = value;
+            std::uint32_t crc = sim::crc32(bad.data() + headerBytes,
+                                           bad.size() - headerBytes);
+            for (int i = 0; i < 4; ++i)
+                bad[16 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+            sim::SnapshotReader r;
+            ASSERT_TRUE(r.load(std::move(bad)));
+            FullRig b(program);
+            largestAlloc = 0;
+            sim::EventRearmer rearmer(b.sim);
+            b.wisp.restoreState(r, rearmer);
+            b.aud.restoreState(r);
+            b.board.restoreState(r, rearmer);
+            ASSERT_LE(largestAlloc, image.size()) << "offset " << off;
+            ++mutations;
+            restored += r.ok() ? 1 : 0;
+        }
+    }
+    EXPECT_GT(mutations, 1000u);
+    EXPECT_LT(restored, mutations); // the sweep does reach the checks
 }
 
 } // namespace
